@@ -11,7 +11,7 @@ the project-wide oracle.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Literal
 
 from .perm import GeneratorSet, Permutation, is_transitive
@@ -230,11 +230,9 @@ def atkinson_baseline(gens: GeneratorSet) -> BlockSystem | None:
     """Quadratic primitivity test: None if primitive, else a block system.
 
     Scans seeds {0, lam} for lam = 1..n-1 and expands the first proper
-    minimal block found.
+    minimal block found. Degree 1 is primitive, as in the drivers.
     """
     n = gens.degree
-    if n < 2:
-        raise ValueError("baseline requires degree at least 2")
     if not is_transitive(gens):
         raise ValueError("baseline requires a transitive group")
     for lam in range(1, n):

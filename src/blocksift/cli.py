@@ -71,6 +71,8 @@ def _cmd_primitive(args) -> int:
         if args.uncapped:
             verdict = ss_uncapped(gens)
         elif args.cap is not None:
+            if args.cap < 1:
+                raise InputError("cap must be at least 1")
             if gens.degree == 1:
                 verdict = Verdict("primitive")
             else:

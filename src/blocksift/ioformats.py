@@ -142,7 +142,8 @@ def _parse_json(text: str) -> GeneratorSet:
         raise ParseError("JSON input needs 'degree' and 'generators' keys", 1, 1)
     degree = data["degree"]
     raw = data["generators"]
-    if not isinstance(degree, int) or not isinstance(raw, list) or not raw:
+    # type(), not isinstance(): JSON true is a bool, which would pass as 1
+    if type(degree) is not int or not isinstance(raw, list) or not raw:
         raise ParseError("degree must be an int and generators a nonempty list", 1, 1)
     try:
         gens = [Permutation(images) for images in raw]

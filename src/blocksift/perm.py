@@ -157,12 +157,14 @@ def inverse(g: Permutation) -> Permutation:
     return g.inverse()
 
 
-def orbit(actions, start: int) -> list[int]:
+def orbit(actions, start: int, limit: int | None = None) -> list[int]:
     """Closure of {start} under point-action providers, in BFS discovery order.
 
     A provider is anything with an ``apply(p) -> point`` method (a
     Permutation or a Word). ``start`` comes first; order is deterministic
-    given provider order.
+    given provider order. With ``limit``, the search stops as soon as it
+    holds more than ``limit`` points and returns that prefix of the BFS
+    order, so a result longer than ``limit`` is not the whole orbit.
     """
     appliers = []
     degree = None
@@ -181,6 +183,10 @@ def orbit(actions, start: int) -> list[int]:
         return [start]
     if not 0 <= start < degree:
         raise ValueError(f"start point {start} out of range for degree {degree}")
+    if limit is None:
+        limit = degree  # an orbit never exceeds the degree
+    elif limit < 1:
+        raise ValueError("limit must be at least 1")
     seen = bytearray(degree)
     seen[start] = 1
     out = [start]
@@ -192,6 +198,8 @@ def orbit(actions, start: int) -> list[int]:
             if not seen[q]:
                 seen[q] = 1
                 out.append(q)
+                if len(out) > limit:
+                    return out
                 queue.append(q)
     return out
 

@@ -3,8 +3,10 @@
 ``ss_primitivity`` runs the transversal phase and then repeatedly tests
 candidate sets alpha^<H, r_lam> for blockness, growing H = <X_2* elements>
 from each failed test, until it certifies primitivity, finds a block
-system, or exceeds the base-size cap. The front ends pick the cap
-(5 log n, (9/2) n^(1/3), or n) and handle the certificate fallback.
+system, or exceeds the base-size cap. A candidate holding more than n/p
+points, p the smallest prime factor of n, lies in no proper block and is
+skipped unclosed. The front ends pick the cap (5 log n, (9/2) n^(1/3),
+or n) and handle the certificate fallback.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Literal
 
-from .blocks import BlockSystem, blockness_test, minimal_block, validate_block_system
+from .blocks import BlockSystem, blockness_test, minimal_block
 from .perm import GeneratorSet, Permutation, is_transitive, orbit
 from .sift import Certificate, SiftState
 from .transversal import build_point_transversal, build_scoped_transversal
@@ -33,6 +35,7 @@ class Diagnostics:
 
     sifts: int = 0
     h_updates: int = 0
+    # blockness tests run; skipped candidates are not counted
     candidates_tested: int = 0
     sum_xi: int = 0
     # (before, after) of sum over levels >= 2, one pair per H-update
@@ -80,6 +83,19 @@ def _h_orbits(n: int, hgens: list[Permutation]) -> list[list[int]]:
     return orbits
 
 
+def _largest_proper_divisor(n: int) -> int:
+    """n // p for the smallest prime p dividing n >= 2, by trial division.
+
+    This bounds the size of any proper block, since block sizes divide n.
+    """
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            return n // p
+        p += 1
+    return 1
+
+
 def ss_primitivity(gens: GeneratorSet, alpha: int, cap: int) -> Verdict:
     """Capped primitivity loop: Primitive, Blocks, or PartialBase."""
     n = gens.degree
@@ -92,6 +108,7 @@ def ss_primitivity(gens: GeneratorSet, alpha: int, cap: int) -> Verdict:
     if not is_transitive(gens):
         raise ValueError("ss_primitivity requires a transitive group")
     diag = Diagnostics()
+    dmax = _largest_proper_divisor(n)
 
     tr = build_point_transversal(gens, alpha, cap)
     state = tr.state
@@ -109,8 +126,11 @@ def ss_primitivity(gens: GeneratorSet, alpha: int, cap: int) -> Verdict:
         for orb in reps:
             lam = orb[0]
             r_word = rmap[lam]
-            delta = orbit(hgens + [r_word], alpha)
-            if len(delta) == n:
+            # <H, r_lam> maps every block holding alpha and lam to itself,
+            # so a candidate larger than any proper block shows that no
+            # proper block holds both: skip it without closing the orbit.
+            delta = orbit(hgens + [r_word], alpha, dmax)
+            if len(delta) > dmax:
                 continue
             diag.candidates_tested += 1
             res = blockness_test(gens, delta, alpha)

@@ -10,8 +10,8 @@ it translates off itself, or opens a new base level.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Literal
+from dataclasses import dataclass
+from typing import Literal
 
 from .perm import Permutation
 from .words import Atom, CubeList, ElementStore, WitnessMap, Word, deep_cube_orbit

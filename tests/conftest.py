@@ -44,6 +44,23 @@ def random_element(gens: GeneratorSet, rng: random.Random, length: int = 12) -> 
     return g
 
 
+def relabel(gens: GeneratorSet, rng: random.Random, extra: int = 0) -> GeneratorSet:
+    """The same group under a random point relabelling, with ``extra``
+    random-word generators appended."""
+    n = gens.degree
+    sigma = list(range(n))
+    rng.shuffle(sigma)
+    out = []
+    for g in gens.generators:
+        images = [0] * n
+        for p, q in enumerate(g.images):
+            images[sigma[p]] = sigma[q]
+        out.append(Permutation(images))
+    base = GeneratorSet(n, out)
+    out += [random_element(base, rng) for _ in range(extra)]
+    return GeneratorSet(n, out)
+
+
 def enumerate_cube(elements: list[Permutation]) -> set[Permutation]:
     """All subset products x1^e1 ... xj^ej, e in {0,1}, by prefix DFS."""
     n = elements[0].degree if elements else 1

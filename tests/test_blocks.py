@@ -110,6 +110,9 @@ class TestAtkinsonBaseline:
     def test_two_points_primitive(self):
         assert atkinson_baseline(S2) is None
 
+    def test_degree_one_primitive_like_the_drivers(self):
+        assert atkinson_baseline(GeneratorSet(1, [perm(1)])) is None
+
     def test_intransitive_rejected(self):
         with pytest.raises(ValueError):
             atkinson_baseline(GeneratorSet(3, [perm(3, (0, 1))]))

@@ -1,8 +1,13 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import blocksift
 from blocksift.cli import cli_main
 
 
@@ -16,6 +21,7 @@ def run(capsys, monkeypatch, argv, stdin=None):
 
 C6_JSON = '{"degree":6,"generators":[[1,2,3,4,5,0]]}'
 A5_JSON = '{"degree":5,"generators":[[1,2,3,4,0],[1,2,0,3,4]]}'
+ONE_JSON = '{"degree":1,"generators":[[0]]}'
 
 
 class TestPrimitive:
@@ -79,8 +85,23 @@ class TestPrimitive:
         )
         assert code == 2
 
+    def test_cap_below_one_exits_2_at_every_degree(self, capsys, monkeypatch):
+        for stdin in (ONE_JSON, A5_JSON):
+            code, _, err = run(capsys, monkeypatch, ["primitive", "--cap", "0"], stdin=stdin)
+            assert code == 2 and "cap" in err
+
+    def test_bool_degree_exits_2(self, capsys, monkeypatch):
+        code, _, err = run(
+            capsys, monkeypatch, ["primitive"], stdin='{"degree":true,"generators":[[0]]}'
+        )
+        assert code == 2 and "parse error" in err
+
 
 class TestBaseline:
+    def test_degree_one_primitive(self, capsys, monkeypatch):
+        code, out, _ = run(capsys, monkeypatch, ["baseline"], stdin=ONE_JSON)
+        assert code == 0 and json.loads(out)["verdict"] == "primitive"
+
     def test_imprimitive(self, capsys, monkeypatch):
         code, out, _ = run(capsys, monkeypatch, ["baseline"], stdin=C6_JSON)
         assert code == 0 and json.loads(out)["verdict"] == "blocks"
@@ -147,3 +168,16 @@ class TestBench:
 
 def test_no_subcommand_is_usage_error(capsys, monkeypatch):
     assert run(capsys, monkeypatch, [])[0] == 2
+
+
+def test_python_dash_m_runs_the_cli():
+    src = Path(blocksift.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (str(src), os.environ.get("PYTHONPATH")) if p
+    )}
+    proc = subprocess.run(
+        [sys.executable, "-m", "blocksift", "baseline"],
+        input=C6_JSON, capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["verdict"] == "blocks"

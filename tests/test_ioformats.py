@@ -24,6 +24,7 @@ class TestJsonFormat:
             '{"degree":3,"generators":[[0,1,3]]}',    # image out of range
             '{"generators":[[1,0]]}',                 # missing degree
             '{"degree":0,"generators":[]}',           # empty domain
+            '{"degree":true,"generators":[[0]]}',     # bool is not a degree
         ):
             with pytest.raises(ParseError):
                 parse_generators(text)

@@ -10,6 +10,7 @@ from blocksift.perm import (
     is_transitive,
     orbit,
 )
+from blocksift.words import Atom, ElementStore, Word
 from conftest import perm
 
 
@@ -81,6 +82,36 @@ class TestOrbit:
     def test_order_independent_as_set(self):
         a, b = perm(5, (0, 1)), perm(5, (1, 2, 3))
         assert set(orbit([a, b], 0)) == set(orbit([b, a], 0))
+
+
+class TestOrbitLimit:
+    def test_prefix_when_orbit_is_larger(self):
+        gens = [perm(10, tuple(range(10))), perm(10, (0, 5))]
+        full = orbit(gens, 3)
+        for limit in range(1, len(full)):
+            assert orbit(gens, 3, limit) == full[: limit + 1]
+
+    def test_whole_orbit_within_limit(self):
+        gens = [perm(12, (0, 1, 2, 3)), perm(12, (2, 5))]
+        full = orbit(gens, 0)
+        assert sorted(full) == [0, 1, 2, 3, 5]
+        assert orbit(gens, 0, len(full)) == full
+        assert orbit(gens, 0, 12) == full
+
+    def test_word_provider(self):
+        store = ElementStore(9)
+        x = store.add(perm(9, tuple(range(9))))
+        y = store.add(perm(9, (0, 3, 6)))
+        words = [Word(store, [Atom(x), Atom(y, inverted=True)]), Word(store, [Atom(y)])]
+        full = orbit(words, 1)
+        assert full == orbit([w.eval() for w in words], 1)
+        for limit in range(1, len(full)):
+            assert orbit(words, 1, limit) == full[: limit + 1]
+        assert orbit(words, 1, len(full)) == full
+
+    def test_limit_below_one_rejected(self):
+        with pytest.raises(ValueError):
+            orbit([perm(3, (0, 1, 2))], 0, 0)
 
 
 class TestTransitivity:

@@ -1,8 +1,11 @@
+import random
+
 import pytest
 
 from blocksift.blocks import atkinson_baseline, minimal_block, validate_block_system
 from blocksift.corpus import build, parse_spec, spec_order
-from blocksift.perm import GeneratorSet
+from blocksift import primitivity
+from blocksift.perm import GeneratorSet, orbit
 from blocksift.primitivity import (
     find_blocks_from_certificate,
     primitivity_main,
@@ -11,7 +14,7 @@ from blocksift.primitivity import (
     ss_uncapped,
 )
 from blocksift.sift import Certificate
-from conftest import perm
+from conftest import perm, relabel
 
 
 A5 = GeneratorSet(5, [perm(5, (0, 1, 2, 3, 4)), perm(5, (0, 1, 2))])
@@ -152,3 +155,71 @@ class TestDiagnostics:
             assert d.h_updates <= d.sum_xi, entry.name
             for before, after in d.h_update_growth:
                 assert after > before, entry.name
+
+
+DRIVERS = (primitivity_main, primitivity_subquadratic, ss_uncapped)
+
+
+class TestCandidateSizeBound:
+    # A candidate larger than n/p (p the smallest prime factor of n) is
+    # skipped unclosed; these groups run on both sides of that bound.
+
+    @pytest.mark.parametrize("extra", [0, 2])
+    @pytest.mark.parametrize("p", [3, 5, 7, 13, 31, 61, 127, 257])
+    @pytest.mark.parametrize("family", ["cyclic", "dihedral"])
+    def test_prime_degree_primitive_without_blockness_tests(self, family, p, extra):
+        gens = relabel(build(parse_spec(f"{family}({p})")), random.Random(p + extra), extra)
+        assert atkinson_baseline(gens) is None
+        for driver in DRIVERS:
+            assert driver(gens).kind == "primitive", driver.__name__
+        assert primitivity_main(gens).diagnostics.candidates_tested == 0
+
+    @pytest.mark.parametrize("extra", [0, 2])
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "dihedral(22)",
+            "cyclic(26)",
+            "cyclic(33)",
+            "dihedral(39)",
+            "wreath(cyclic(7),3)",
+            "wreath(cyclic(3),5)",
+            "cyclic(49)",
+            "dihedral(121)",
+            "wreath(cyclic(11),11)",
+            "subsets(6,2)",
+            "subsets(7,2)",
+            "product(5,2)",
+        ],
+    )
+    def test_composite_degree_matches_oracle(self, spec, extra):
+        gens = relabel(build(parse_spec(spec)), random.Random(len(spec) + extra), extra)
+        oracle = atkinson_baseline(gens)
+        for driver in DRIVERS:
+            v = driver(gens)
+            assert (v.kind == "primitive") == (oracle is None), (spec, driver.__name__)
+            if v.kind == "blocks":
+                assert v.blocks.nontrivial and validate_block_system(gens, v.blocks)
+
+    @pytest.mark.parametrize(
+        "spec,seed",
+        [("alternating(6)", 200), ("subsets(8,2)", 200), ("m24", 100), ("symmetric(12)", 100)],
+    )
+    def test_skipped_candidates_lie_in_no_proper_block(self, monkeypatch, spec, seed):
+        # these relabellings give candidates with n/p < |delta| < n
+        gens = relabel(build(parse_spec(spec)), random.Random(seed))
+        n = gens.degree
+        skipped_short_of_n = []
+
+        def checked_orbit(actions, start, limit=None):
+            delta = orbit(actions, start, limit)
+            if limit is not None and len(delta) > limit:
+                # H fixes alpha, so the first new point is lam = alpha^r_lam
+                assert minimal_block(gens, delta[:2]) == set(range(n))
+                skipped_short_of_n.append(len(orbit(actions, start)) < n)
+            return delta
+
+        monkeypatch.setattr(primitivity, "orbit", checked_orbit)
+        for driver in (primitivity_main, ss_uncapped):
+            assert driver(gens).kind == "primitive"
+        assert any(skipped_short_of_n)

@@ -134,6 +134,13 @@ def _cmd_sift_trace(args) -> int:
 
     gens = _read_gens(args)
     cap = args.cap if args.cap is not None else gens.degree
+    if cap < 1:
+        raise InputError("cap must be at least 1")
+    if gens.degree == 1:
+        # primitive, as in the drivers: the orbit is {0} and nothing is sifted
+        final = {"degree": 1, "cap": cap, "levels": [], "sifts": 0}
+        print(json.dumps({"result": "transversal", "orbit": [0], "trace": [], "final": final}))
+        return 0
     trace: list[dict] = []
 
     def on_sift(state, outcome):

@@ -145,6 +145,15 @@ def _parse_json(text: str) -> GeneratorSet:
     # type(), not isinstance(): JSON true is a bool, which would pass as 1
     if type(degree) is not int or not isinstance(raw, list) or not raw:
         raise ParseError("degree must be an int and generators a nonempty list", 1, 1)
+    # the same trap in the images: [true, false] would pass as the
+    # transposition. Only the literals true and false decode to bool, and
+    # each holds a letter ('u', 'l') that the keys "degree" and
+    # "generators" lack, so a one-letter search keeps the per-image scan
+    # off ordinary input.
+    if "u" in text or "l" in text:
+        for images in raw:
+            if isinstance(images, list) and any(type(v) is bool for v in images):
+                raise ParseError("generator images must be ints, not booleans", 1, 1)
     try:
         gens = [Permutation(images) for images in raw]
         return GeneratorSet(degree, gens)

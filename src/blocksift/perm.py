@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 
@@ -30,6 +31,19 @@ class Permutation:
         self.images = images
         self._inv: Permutation | None = None
 
+    @classmethod
+    def unchecked(cls, images: tuple[int, ...]) -> "Permutation":
+        """Wrap an image tuple already known to be a permutation.
+
+        For internal products only: a product or inverse of validated
+        permutations is a permutation, so it skips the O(n) check that
+        ``Permutation(...)`` runs on outside input.
+        """
+        g = object.__new__(cls)
+        g.images = images
+        g._inv = None
+        return g
+
     @property
     def degree(self) -> int:
         return len(self.images)
@@ -43,15 +57,14 @@ class Permutation:
         """First self, then other."""
         if other.degree != self.degree:
             raise ValueError("degree mismatch in compose")
-        oth = other.images
-        return Permutation(tuple(oth[v] for v in self.images))
+        return Permutation.unchecked(compose_images(self.images, other.images))
 
     def inverse(self) -> "Permutation":
         if self._inv is None:
             inv = [0] * len(self.images)
             for p, v in enumerate(self.images):
                 inv[v] = p
-            self._inv = Permutation(inv)
+            self._inv = Permutation.unchecked(tuple(inv))
             self._inv._inv = self
         return self._inv
 
@@ -115,6 +128,13 @@ class Permutation:
             return f"Permutation.identity({self.degree})"
         text = "".join("(" + " ".join(map(str, c)) + ")" for c in cycs)
         return f"Permutation[{self.degree}] {text}"
+
+
+def compose_images(first: tuple[int, ...], then: tuple[int, ...]) -> tuple[int, ...]:
+    """Image tuple of "first, then": ``then[first[p]]`` for every p."""
+    if len(first) == 1:
+        return (then[first[0]],)  # itemgetter of one key returns a bare item
+    return itemgetter(*first)(then)
 
 
 @dataclass

@@ -47,6 +47,7 @@ class Diagnostics:
             "h_updates": self.h_updates,
             "candidates_tested": self.candidates_tested,
             "sum_xi": self.sum_xi,
+            "h_update_growth": [[before, after] for before, after in self.h_update_growth],
         }
 
 
@@ -58,29 +59,35 @@ class Verdict:
     diagnostics: Diagnostics = field(default_factory=Diagnostics)
 
 
-def _h_orbits(n: int, hgens: list[Permutation]) -> list[list[int]]:
-    """Orbit partition of the points under H, each orbit in point order."""
+def _h_orbit_sizes(n: int, hgens: list[Permutation]) -> list[int]:
+    """Size of each H-orbit at the orbit's least point, 0 at other points.
+
+    Points are scanned in ascending order, so each orbit is first met at
+    its least point. No list is built per orbit: with small H-orbits there
+    are ~n of them, and a list each would keep the cyclic GC busy.
+    """
     if not hgens:
-        return [[p] for p in range(n)]
+        return [1] * n
     arrays = [g.images for g in hgens]
     seen = bytearray(n)
-    orbits = []
+    size = [0] * n
+    stack = []
     for start in range(n):
         if seen[start]:
             continue
         seen[start] = 1
-        orb = [start]
-        stack = [start]
+        stack.append(start)
+        count = 0
         while stack:
             p = stack.pop()
+            count += 1
             for arr in arrays:
                 q = arr[p]
                 if not seen[q]:
                     seen[q] = 1
-                    orb.append(q)
                     stack.append(q)
-        orbits.append(sorted(orb))
-    return orbits
+        size[start] = count
+    return size
 
 
 def _largest_proper_divisor(n: int) -> int:
@@ -118,14 +125,16 @@ def ss_primitivity(gens: GeneratorSet, alpha: int, cap: int) -> Verdict:
 
     while True:
         hgens = state.deep_element_perms()
+        size = _h_orbit_sizes(n, hgens)
+        # one candidate per H-orbit but alpha's, by orbit size and then
+        # least point; size * n + lam orders as that pair without a tuple
         reps = sorted(
-            (orb for orb in _h_orbits(n, hgens) if orb[0] != alpha),
-            key=lambda orb: (len(orb), orb[0]),
+            (lam for lam in range(n) if size[lam] and lam != alpha),
+            key=lambda lam: size[lam] * n + lam,
         )
         restarted = False
-        for orb in reps:
-            lam = orb[0]
-            r_word = rmap[lam]
+        for lam in reps:
+            r_word = rmap.word(lam)
             # <H, r_lam> maps every block holding alpha and lam to itself,
             # so a candidate larger than any proper block shows that no
             # proper block holds both: skip it without closing the orbit.
@@ -142,8 +151,8 @@ def ss_primitivity(gens: GeneratorSet, alpha: int, cap: int) -> Verdict:
                 return _finish(
                     Verdict("partial_base", certificate=scoped.certificate), diag, state
                 )
-            s = scoped.rmap[wit.beta].eval()
-            t = scoped.rmap[wit.gamma].eval()
+            s = scoped.rmap.word(wit.beta).eval()
+            t = scoped.rmap.word(wit.gamma).eval()
             g = s * wit.g1 * t.inverse()
             assert g.images[alpha] == alpha, "witness product must stabilize alpha"
             before = state.sum_xi(2)

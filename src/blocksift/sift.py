@@ -23,11 +23,19 @@ class Level:
 
     beta: int
     elems: list[int]  # store indices of X_i, in append order
-    witness: dict[int, Word]  # Delta_i point -> word over X_i reaching it from beta_i
+    witness: WitnessMap  # Delta_i point -> word over X_i reaching it from beta_i
+
+    @classmethod
+    def seeded(cls, store: ElementStore, beta: int, idx: int) -> "Level":
+        """A level with X_i = [stored element idx], which must move beta."""
+        witness = WitnessMap(store, [beta])
+        witness.expand(Atom(idx))
+        return cls(beta, [idx], witness)
 
     @property
-    def delta(self):
-        return self.witness.keys()
+    def delta(self) -> list[int]:
+        """Delta_i in discovery order."""
+        return self.witness.points
 
 
 @dataclass
@@ -89,10 +97,7 @@ class SiftState:
         if seed.images[beta1] == beta1:
             raise ValueError("seed must move the first base point")
         store = ElementStore(n)
-        idx = store.add(seed)
-        empty = Word(store)
-        witness = {beta1: empty, seed.images[beta1]: empty.extend(Atom(idx))}
-        return cls(n, cap, store, [Level(beta1, [idx], witness)])
+        return cls(n, cap, store, [Level.seeded(store, beta1, store.add(seed))])
 
     @property
     def level_count(self) -> int:
@@ -145,32 +150,26 @@ class SiftState:
                 break
             lv = self.levels[idx]
             img = g.images
-            delta_g = {img[p] for p in lv.delta}
-            inter = delta_g & lv.delta
+            held = lv.witness.parent
+            inter = [q for q in map(img.__getitem__, lv.delta) if held[q] >= 0]
             if not inter:
                 self._append_to_level(lv, g)
                 return SiftOutcome("appended", idx + 1, chain, g)
             lam = min(inter)
-            ginv = g.inverse()
-            s = lv.witness[ginv.images[lam]]
-            t = lv.witness[lam]
+            s = lv.witness.word(img.index(lam))
+            t = lv.witness.word(lam)
             chain.append((s, t))
-            g = s.eval() * g * t.eval().inverse()
+            g = s.eval() * g * t.inverse_word().eval()
         if g.is_identity():
             return SiftOutcome("sifted_to_identity", None, chain, g)
         beta = min(g.support())
-        store_idx = self.store.add(g)
-        empty = Word(self.store)
-        witness = {beta: empty, g.images[beta]: empty.extend(Atom(store_idx))}
-        self.levels.append(Level(beta, [store_idx], witness))
+        self.levels.append(Level.seeded(self.store, beta, self.store.add(g)))
         return SiftOutcome("new_base_point", self.level_count, chain, g)
 
     def _append_to_level(self, lv: Level, g: Permutation) -> None:
+        """Append g to X_i; g translates Delta_i off itself, so it doubles."""
         store_idx = self.store.add(g)
-        atom = Atom(store_idx)
-        img = g.images
-        for p, w in list(lv.witness.items()):
-            lv.witness[img[p]] = w.extend(atom)
+        lv.witness.expand(Atom(store_idx))
         lv.elems.append(store_idx)
 
     def certificate(self) -> Certificate:
@@ -194,7 +193,8 @@ class SiftState:
                 assert x.images[lv.beta] != lv.beta
                 for prev in self.levels[:k]:
                     assert x.images[prev.beta] == prev.beta
-            for p, w in lv.witness.items():
+            for p in lv.delta:
+                w = lv.witness.word(p)
                 assert len(w) <= len(lv.elems)
                 assert w.apply(lv.beta) == p
 
@@ -214,18 +214,3 @@ class SiftState:
             "sifts": self.sift_count,
         }
 
-
-def init_state(n: int, cap: int, seed: Permutation, beta1: int) -> SiftState:
-    return SiftState.init_state(n, cap, seed, beta1)
-
-
-def deep_sift(state: SiftState, g: Permutation) -> SiftOutcome:
-    return state.deep_sift(g)
-
-
-def certificate(state: SiftState) -> Certificate:
-    return state.certificate()
-
-
-def level_deep_orbit(state: SiftState, i: int) -> tuple[list[int], WitnessMap]:
-    return state.level_deep_orbit(i)

@@ -10,12 +10,11 @@ first, sharing those levels with the live state.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Literal
 
 from .perm import GeneratorSet, Permutation
-from .sift import Atom, Certificate, Level, SiftOutcome, SiftState
+from .sift import Certificate, Level, SiftOutcome, SiftState
 from .words import WitnessMap, Word
 
 
@@ -32,69 +31,41 @@ class TransversalResult:
         return self.kind == "partial_base"
 
 
-def _orbit_words(state: SiftState) -> tuple[list[int], "_RWords"]:
-    pts, wit = state.level_deep_orbit(1)
-    return pts, _RWords(wit)
-
-
-class _RWords:
-    """Point -> r-word view over a deep-cube witness map."""
-
-    def __init__(self, wit: WitnessMap):
-        self._wit = wit
-
-    def __getitem__(self, p: int) -> Word:
-        return self._wit.word(p)
-
-    def word(self, p: int) -> Word:
-        return self._wit.word(p)
-
-    def __contains__(self, p: int) -> bool:
-        return p in self._wit
-
-    def __iter__(self):
-        return iter(self._wit)
-
-    def __len__(self) -> int:
-        return len(self._wit)
-
-
 def _close_transversal(
     state: SiftState,
     gens: list[Permutation],
     cap: int,
     on_sift: Callable[[SiftState, SiftOutcome], None] | None = None,
-) -> tuple[str, list[int], _RWords]:
+) -> tuple[str, list[int], WitnessMap]:
     """Shared queue loop: close the level-1 deep orbit under ``gens``.
 
-    Each (orbit point, generator) pair is enqueued exactly once, when the
-    point first enters the orbit, and processed at most once. Returns
-    ("transversal", orbit, rmap) on closure or ("capped", ..., ...) the
-    moment the level count passes the cap.
+    Each (orbit point, generator) pair is visited exactly once, in the
+    order the points entered the orbit and then generator order, so the
+    queue is the list of points in entry order. Returns ("transversal",
+    orbit, rmap) on closure or ("capped", ..., ...) the moment the level
+    count passes the cap.
     """
-    omega, rmap = _orbit_words(state)
-    in_omega = set(omega)
-    queue: deque[tuple[int, int]] = deque()
+    arrays = [g.images for g in gens]
+    omega, rmap = state.level_deep_orbit(1)
+    in_omega = bytearray(state.n)
     for lam in omega:
-        for si in range(len(gens)):
-            queue.append((lam, si))
-    while queue:
-        lam, si = queue.popleft()
-        mu = gens[si].images[lam]
-        if mu in in_omega:
-            continue
-        elem = rmap[lam].eval() * gens[si]
-        outcome = state.deep_sift(elem)
-        if on_sift is not None:
-            on_sift(state, outcome)
-        if state.level_count > cap:
-            return "capped", omega, rmap
-        omega, rmap = _orbit_words(state)
-        for p in omega:
-            if p not in in_omega:
-                in_omega.add(p)
-                for sj in range(len(gens)):
-                    queue.append((p, sj))
+        in_omega[lam] = 1
+    queue = list(omega)
+    for lam in queue:  # grows while it is walked
+        for si, arr in enumerate(arrays):
+            if in_omega[arr[lam]]:
+                continue
+            elem = rmap.word(lam).eval() * gens[si]
+            outcome = state.deep_sift(elem)
+            if on_sift is not None:
+                on_sift(state, outcome)
+            if state.level_count > cap:
+                return "capped", omega, rmap
+            omega, rmap = state.level_deep_orbit(1)
+            for p in omega:
+                if not in_omega[p]:
+                    in_omega[p] = 1
+                    queue.append(p)
     return "transversal", omega, rmap
 
 
@@ -135,11 +106,7 @@ def build_scoped_transversal(
     if r_word.apply(alpha) == alpha:
         raise ValueError("r-word must move alpha")
     r_elem = r_word.eval()
-    r_idx = state.store.add(r_elem)
-    empty = Word(state.store)
-    overlay_level = Level(
-        alpha, [r_idx], {alpha: empty, r_elem.images[alpha]: empty.extend(Atom(r_idx))}
-    )
+    overlay_level = Level.seeded(state.store, alpha, state.store.add(r_elem))
     overlay = SiftState(
         state.n, cap, state.store, [overlay_level] + state.levels[1:]
     )

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
-from .perm import Permutation
+from .perm import Permutation, compose_images
 
 
 @dataclass(frozen=True, slots=True)
@@ -23,23 +23,38 @@ class Atom:
     elem: int
     inverted: bool = False
 
+    def __post_init__(self):
+        # letters are looked up by list index, where -1 would silently
+        # name the last stored element
+        if self.elem < 0:
+            raise ValueError(f"element index must be non-negative, not {self.elem}")
+
     def invert(self) -> "Atom":
         return Atom(self.elem, not self.inverted)
 
 
 class ElementStore:
-    """Append-only store of explicit permutations referenced by words."""
+    """Append-only store of explicit permutations referenced by words.
+
+    Image arrays are kept in lists indexed by element number: forward
+    images as elements are added, inverse images built on first use, once
+    per element. A letter lookup is then a list index.
+    """
 
     def __init__(self, degree: int):
         if degree < 1:
             raise ValueError("degree must be at least 1")
         self.degree = degree
         self._perms: list[Permutation] = []
+        self.images: list[tuple[int, ...]] = []
+        self._inverse_images: list[tuple[int, ...] | None] = []
 
     def add(self, g: Permutation) -> int:
         if g.degree != self.degree:
             raise ValueError("degree mismatch in element store")
         self._perms.append(g)
+        self.images.append(g.images)
+        self._inverse_images.append(None)
         return len(self._perms) - 1
 
     def perm(self, index: int) -> Permutation:
@@ -47,10 +62,17 @@ class ElementStore:
             raise RuntimeError(f"dangling element reference {index}")
         return self._perms[index]
 
+    def inverse_images(self, index: int) -> tuple[int, ...]:
+        inv = self._inverse_images[index]
+        if inv is None:
+            inv = self._inverse_images[index] = self._perms[index].inverse().images
+        return inv
+
     def atom_images(self, atom: Atom) -> tuple[int, ...]:
         """Image array realizing one atom's point action."""
-        g = self.perm(atom.elem)
-        return g.inverse().images if atom.inverted else g.images
+        if atom.inverted:
+            return self.inverse_images(atom.elem)
+        return self.images[atom.elem]
 
     def __len__(self) -> int:
         return len(self._perms)
@@ -75,20 +97,27 @@ class Word:
     def apply(self, p: int) -> int:
         """Image of a point; O(length) via atom-wise image chasing."""
         store = self.store
+        forward, inverse = store.images, store._inverse_images
         for atom in self.atoms:
-            p = store.atom_images(atom)[p]
+            # atom_images, inlined: this is the candidate scan's inner loop
+            if atom.inverted:
+                arr = inverse[atom.elem]
+                if arr is None:
+                    arr = store.inverse_images(atom.elem)
+            else:
+                arr = forward[atom.elem]
+            p = arr[p]
         return p
 
     def eval(self) -> Permutation:
         """Materialize the product as an explicit permutation."""
-        cur = list(range(self.store.degree))
-        for atom in self.atoms:
-            arr = self.store.atom_images(atom)
-            cur = [arr[v] for v in cur]
-        return Permutation(cur)
-
-    def extend(self, atom: Atom) -> "Word":
-        return Word(self.store, self.atoms + (atom,))
+        if not self.atoms:
+            return Permutation.unchecked(tuple(range(self.store.degree)))
+        atom_images = self.store.atom_images
+        cur = atom_images(self.atoms[0])
+        for atom in self.atoms[1:]:
+            cur = compose_images(cur, atom_images(atom))
+        return Permutation.unchecked(cur)
 
     def inverse_word(self) -> "Word":
         return Word(self.store, tuple(a.invert() for a in reversed(self.atoms)))
@@ -130,48 +159,79 @@ def cube_inverse_list(x: CubeList) -> CubeList:
 
 
 class WitnessMap(Mapping):
-    """Point -> (source point, witness word) map from a cube expansion.
+    """Point -> (source point, witness word) map kept as parent links.
 
-    Words are materialized on first access by walking first-discovery
-    parent links, so building the map costs O(n |X|) regardless of how
-    many witness words are ever needed.
+    Two degree-sized arrays hold, per discovered point, the point it was
+    reached from and the letter that reached it; a root is its own parent
+    with no letter, and an undiscovered point has parent -1. ``points``
+    lists the discovered points in discovery order. Words are built on
+    access by walking the links, so recording a point costs two stores
+    regardless of how many witness words are ever needed.
     """
 
+    __slots__ = ("store", "points", "parent", "letter")
+
     def __init__(self, store: ElementStore, roots: Iterable[int]):
+        n = store.degree
         self.store = store
-        # parent[p] = (previous point, atom) for discovered points; roots map to None
-        self._parent: dict[int, tuple[int, Atom] | None] = {p: None for p in roots}
-        self._cache: dict[int, tuple[int, Word]] = {}
+        self.points: list[int] = []
+        self.parent = [-1] * n
+        self.letter: list[Atom | None] = [None] * n
+        for p in roots:
+            if not 0 <= p < n:
+                raise ValueError(f"point {p} out of range for degree {n}")
+            if self.parent[p] < 0:
+                self.parent[p] = p
+                self.points.append(p)
 
-    def _record(self, p: int, prev: int, atom: Atom) -> None:
-        self._parent[p] = (prev, atom)
+    def expand(self, atom: Atom) -> None:
+        """One cube step: add the images under ``atom`` of the points held.
 
-    def __getitem__(self, p: int) -> tuple[int, Word]:
-        if p in self._cache:
-            return self._cache[p]
-        link = self._parent[p]
-        rev = []
-        q = p
-        while link is not None:
-            prev, atom = link
-            rev.append(atom)
-            q = prev
-            link = self._parent[q]
-        entry = (q, Word(self.store, reversed(rev)))
-        self._cache[p] = entry
-        return entry
+        A point already held keeps its first-discovery link.
+        """
+        arr = self.store.atom_images(atom)
+        parent, letter, points = self.parent, self.letter, self.points
+        for p in points[:]:
+            q = arr[p]
+            if parent[q] < 0:
+                parent[q] = p
+                letter[q] = atom
+                points.append(q)
+
+    def __contains__(self, p: object) -> bool:
+        return isinstance(p, int) and 0 <= p < len(self.parent) and self.parent[p] >= 0
 
     def word(self, p: int) -> Word:
-        return self[p][1]
+        """The witness word mapping p's source to p."""
+        if p not in self:
+            raise KeyError(p)
+        parent, letter = self.parent, self.letter
+        rev = []
+        atom = letter[p]
+        while atom is not None:
+            rev.append(atom)
+            p = parent[p]
+            atom = letter[p]
+        rev.reverse()
+        return Word(self.store, rev)
 
     def source(self, p: int) -> int:
-        return self[p][0]
+        """The root point p was reached from."""
+        if p not in self:
+            raise KeyError(p)
+        parent = self.parent
+        while parent[p] != p:
+            p = parent[p]
+        return p
+
+    def __getitem__(self, p: int) -> tuple[int, Word]:
+        return self.source(p), self.word(p)
 
     def __iter__(self):
-        return iter(self._parent)
+        return iter(self.points)
 
     def __len__(self) -> int:
-        return len(self._parent)
+        return len(self.points)
 
 
 def cube_set_image(x: CubeList, delta: Iterable[int]) -> tuple[list[int], WitnessMap]:
@@ -181,29 +241,18 @@ def cube_set_image(x: CubeList, delta: Iterable[int]) -> tuple[list[int], Witnes
     Each output point gets a source point of ``delta`` and a word over a
     subsequence of X (in index order, length <= |X|) mapping source to it;
     ties resolve to the first discovery. Points of ``delta`` get the empty
-    word.
+    word. The expansion stops once it holds all n points, since later
+    letters could discover nothing.
     """
-    pts = list(dict.fromkeys(delta))
-    if not pts:
+    wit = WitnessMap(x.store, delta)
+    if not wit.points:
         raise ValueError("delta must be nonempty")
     n = x.store.degree
-    for p in pts:
-        if not 0 <= p < n:
-            raise ValueError(f"point {p} out of range for degree {n}")
-    wit = WitnessMap(x.store, pts)
-    seen = bytearray(n)
-    for p in pts:
-        seen[p] = 1
-    out = list(pts)
     for atom in x.atoms:
-        arr = x.store.atom_images(atom)
-        for p in list(out):
-            q = arr[p]
-            if not seen[q]:
-                seen[q] = 1
-                out.append(q)
-                wit._record(q, p, atom)
-    return out, wit
+        if len(wit.points) == n:
+            break
+        wit.expand(atom)
+    return wit.points, wit
 
 
 def deep_cube_orbit(xstar: CubeList, beta: int) -> tuple[list[int], WitnessMap]:

@@ -97,6 +97,23 @@ class TestPrimitive:
         assert code == 2 and "parse error" in err
 
 
+    def test_bool_images_exit_2(self, capsys, monkeypatch):
+        code, out, err = run(
+            capsys, monkeypatch, ["primitive"],
+            stdin='{"degree":2,"generators":[[true,false]]}',
+        )
+        assert code == 2 and out == "" and "parse error" in err
+
+    def test_h_update_growth_in_json(self, capsys, monkeypatch):
+        code, out, _ = run(
+            capsys, monkeypatch, ["gen", "--family", "subsets", "--m", "6", "--k", "2"]
+        )
+        code, out, _ = run(capsys, monkeypatch, ["primitive"], stdin=out)
+        diag = json.loads(out)["diagnostics"]
+        assert code == 0 and diag["h_updates"] == len(diag["h_update_growth"]) > 0
+        assert all(after > before for before, after in diag["h_update_growth"])
+
+
 class TestBaseline:
     def test_degree_one_primitive(self, capsys, monkeypatch):
         code, out, _ = run(capsys, monkeypatch, ["baseline"], stdin=ONE_JSON)
@@ -151,6 +168,19 @@ class TestSiftTrace:
     def test_prints_levels(self, capsys, monkeypatch):
         code, out, _ = run(capsys, monkeypatch, ["sift-trace"], stdin=C6_JSON)
         assert code == 0 and "level" in out.lower()
+
+
+    def test_degree_one_empty_trace(self, capsys, monkeypatch):
+        code, out, _ = run(capsys, monkeypatch, ["sift-trace"], stdin=ONE_JSON)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["orbit"] == [0] and doc["trace"] == []
+        assert doc["final"]["levels"] == []
+
+    def test_cap_below_one_exits_2_at_every_degree(self, capsys, monkeypatch):
+        for stdin in (ONE_JSON, A5_JSON):
+            code, _, err = run(capsys, monkeypatch, ["sift-trace", "--cap", "0"], stdin=stdin)
+            assert code == 2 and "cap" in err
 
 
 class TestBench:

@@ -30,6 +30,21 @@ class TestJsonFormat:
                 parse_generators(text)
 
 
+    def test_bool_images_rejected(self):
+        # JSON true/false are bools, which would pass as the transposition
+        for text in (
+            '{"degree":2,"generators":[[true,false]]}',
+            '{"degree":2,"generators":[[1,false]]}',
+            '{"degree":2,"generators":[[1.0,0]]}',
+            '{"degree":2,"generators":["10"]}',
+        ):
+            with pytest.raises(ParseError):
+                parse_generators(text)
+        # an extra key may hold those letters; int images still parse
+        gens = parse_generators('{"degree":2,"generators":[[1,0]],"label":"full"}')
+        assert gens == GeneratorSet(2, [perm(2, (0, 1))])
+
+
 class TestCycleFormat:
     def test_header_and_cycle(self):
         gens = parse_generators("n=4; (1 2 3 4)")

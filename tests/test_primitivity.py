@@ -143,7 +143,9 @@ class TestDiagnostics:
         v = ss_uncapped(D4)
         d = v.diagnostics
         assert d.sifts > 0 and d.sum_xi > 0
-        assert set(d.as_dict()) == {"sifts", "h_updates", "candidates_tested", "sum_xi"}
+        assert set(d.as_dict()) == {
+            "sifts", "h_updates", "candidates_tested", "sum_xi", "h_update_growth"
+        }
 
     def test_h_update_accounting(self, small_corpus):
         # every H-update strictly grew the deep part of the data structure,
@@ -223,3 +225,15 @@ class TestCandidateSizeBound:
         for driver in (primitivity_main, ss_uncapped):
             assert driver(gens).kind == "primitive"
         assert any(skipped_short_of_n)
+
+
+def test_h_update_growth_exported(full_corpus):
+    updated = 0
+    for entry in full_corpus:
+        doc = primitivity_main(entry.gens).diagnostics.as_dict()
+        growth = doc["h_update_growth"]
+        assert len(growth) == doc["h_updates"], entry.name
+        for before, after in growth:
+            assert after > before, entry.name
+        updated += bool(growth)
+    assert updated >= 3

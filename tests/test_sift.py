@@ -3,13 +3,16 @@ import random
 
 import pytest
 
+from blocksift import primitivity
 from blocksift.perm import GeneratorSet, Permutation
+from blocksift.primitivity import primitivity_main, primitivity_subquadratic, ss_uncapped
 from blocksift.sift import SiftState
 from conftest import (
     brute_force_elements,
     enumerate_deep_cube,
     perm,
     random_element,
+    relabel,
 )
 
 
@@ -191,3 +194,36 @@ def test_deep_cube_lemmas_small(name, gens, order):
             assert lam in pts, "augment-transversal: lambda must enter Omega_i"
             checked += 1
     assert checked >= 30
+
+
+def test_stored_elements_pass_checked_construction(full_corpus, monkeypatch):
+    # products and inverses are built unchecked inside the drivers; every
+    # stored element and its inverse must still pass the checked
+    # constructor, and the final structure its invariants
+    states = []
+    build_point_transversal = primitivity.build_point_transversal
+
+    def capture(*args, **kwargs):
+        res = build_point_transversal(*args, **kwargs)
+        states.append(res.state)
+        return res
+
+    monkeypatch.setattr(primitivity, "build_point_transversal", capture)
+    rng = random.Random(11)
+    checked = 0
+    for entry in full_corpus:
+        for gens in (entry.gens, relabel(entry.gens, rng, extra=1)):
+            for driver in (primitivity_main, primitivity_subquadratic, ss_uncapped):
+                states.clear()
+                driver(gens)
+                (state,) = states
+                store = state.store
+                for i in range(len(store)):
+                    g = store.perm(i)
+                    assert Permutation(list(g.images)) == g
+                    inv = Permutation(list(store.inverse_images(i)))
+                    assert (g * inv).is_identity()
+                    assert Permutation(list(g.inverse().images)) == inv
+                    checked += 1
+                state.validate()
+    assert checked > 1000

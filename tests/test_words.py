@@ -1,6 +1,9 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from blocksift.corpus import build, parse_spec
 from blocksift.perm import Permutation
 from blocksift.words import (
     Atom,
@@ -14,7 +17,7 @@ from blocksift.words import (
     word_apply,
     word_eval,
 )
-from conftest import enumerate_cube, perm
+from conftest import enumerate_cube, perm, relabel
 
 
 @pytest.fixture
@@ -38,6 +41,16 @@ class TestWordApply:
     def test_inverted_atom(self, store4):
         s, x, _ = store4
         assert word_apply(Word(s, [Atom(x, inverted=True)]), 0) == 3
+
+
+    def test_letters_must_name_stored_elements(self, store4):
+        s, *_ = store4
+        with pytest.raises(ValueError):
+            Atom(-1)
+        with pytest.raises(IndexError):
+            Word(s, [Atom(2)]).apply(0)
+        with pytest.raises(IndexError):
+            Word(s, [Atom(2, inverted=True)]).eval()
 
 
 class TestWordEval:
@@ -97,6 +110,91 @@ class TestCubeSetImage:
             assert src in (0, 2)
             assert len(w) <= len(cube)
             assert word_apply(w, src) == p
+
+
+def _letter_images(store, atom):
+    """One letter's image tuple, inverted here from the stored permutation."""
+    images = store.perm(atom.elem).images
+    if not atom.inverted:
+        return images
+    inv = [0] * len(images)
+    for p, q in enumerate(images):
+        inv[q] = p
+    return tuple(inv)
+
+
+def reference_cube_set_image(store, atoms, delta):
+    """Dict-based expansion: point -> (source, letters), first discovery
+    wins, and every letter is applied (no stop at saturation)."""
+    entries = {}
+    for p in delta:
+        entries.setdefault(p, (p, ()))
+    order = list(entries)
+    for atom in atoms:
+        images = _letter_images(store, atom)
+        for p in list(order):
+            q = images[p]
+            if q not in entries:
+                src, letters = entries[p]
+                entries[q] = (src, letters + (atom,))
+                order.append(q)
+    return order, entries
+
+
+def assert_matches_reference(store, atoms, delta):
+    pts, wit = cube_set_image(CubeList(store, atoms), delta)
+    ref_order, ref = reference_cube_set_image(store, atoms, delta)
+    assert pts == ref_order
+    assert list(wit) == ref_order and len(wit) == len(ref)
+    for p in pts:
+        src, w = wit[p]
+        assert (src, w.atoms) == ref[p]
+        assert (wit.source(p), wit.word(p).atoms) == ref[p]
+    return pts
+
+
+SMALL_SPECS = [
+    "cyclic(6)", "dihedral(8)", "symmetric(4)", "alternating(5)",
+    "wreath(cyclic(2),3)", "subsets(5,2)", "product(3,2)",
+]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_cube_set_image_matches_dict_reference(data):
+    spec = data.draw(st.sampled_from(SMALL_SPECS))
+    rng = random.Random(data.draw(st.integers(0, 2**16)))
+    gens = relabel(build(parse_spec(spec)), rng, extra=1)
+    n = gens.degree
+    store = ElementStore(n)
+    elems = [store.add(g) for g in gens.generators]
+    letter = st.builds(Atom, st.sampled_from(elems), st.booleans())
+    atoms = data.draw(st.lists(letter, max_size=8))
+    delta = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4))
+    assert_matches_reference(store, atoms, delta)
+    # n rounds of every generator saturate a transitive group's cube; the
+    # letters after saturation must change nothing
+    rounds = [Atom(e, inv) for _ in range(n) for e in elems for inv in (False, True)]
+    assert len(assert_matches_reference(store, rounds, delta)) == n
+
+
+def test_saturated_expansion_matches_reference():
+    # all 4 points are held after two letters; the other three add nothing
+    s = ElementStore(4)
+    x = s.add(perm(4, (0, 1, 2, 3)))
+    y = s.add(perm(4, (0, 2), (1, 3)))
+    atoms = [Atom(x), Atom(y), Atom(x, True), Atom(y), Atom(x)]
+    assert sorted(assert_matches_reference(s, atoms, [0])) == [0, 1, 2, 3]
+
+
+def test_witness_map_rejects_unheld_points():
+    s = ElementStore(4)
+    x = s.add(perm(4, (0, 1)))
+    _, wit = cube_set_image(CubeList(s, [Atom(x)]), [0])
+    assert 2 not in wit and -1 not in wit and 4 not in wit
+    for p in (2, -1, 4):
+        with pytest.raises(KeyError):
+            wit.word(p)
 
 
 class TestCubeInverseList:

@@ -13,7 +13,7 @@ from .blocks import (
     minimal_block,
     validate_block_system,
 )
-from .perm import GeneratorSet, Permutation, apply, compose, inverse, is_transitive, orbit
+from .perm import GeneratorSet, Permutation, is_transitive, orbit
 from .primitivity import (
     Diagnostics,
     Verdict,
@@ -33,9 +33,6 @@ from .words import (
     cube_inverse_list,
     cube_set_image,
     deep_cube_orbit,
-    is_nondegenerate_extension,
-    word_apply,
-    word_eval,
 )
 
 __all__ = [
@@ -53,18 +50,14 @@ __all__ = [
     "TransversalResult",
     "Verdict",
     "Word",
-    "apply",
     "atkinson_baseline",
     "blockness_test",
     "build_point_transversal",
     "build_scoped_transversal",
-    "compose",
     "cube_inverse_list",
     "cube_set_image",
     "deep_cube_orbit",
     "find_blocks_from_certificate",
-    "inverse",
-    "is_nondegenerate_extension",
     "is_transitive",
     "minimal_block",
     "orbit",
@@ -73,8 +66,6 @@ __all__ = [
     "ss_primitivity",
     "ss_uncapped",
     "validate_block_system",
-    "word_apply",
-    "word_eval",
 ]
 
 __version__ = "0.1.0"

@@ -4,7 +4,10 @@ Subcommands: ``primitive`` (capped drivers / uncapped), ``baseline``
 (quadratic oracle), ``minblock``, ``sift-trace``, ``gen`` (corpus group
 emitter), and ``bench``. Generator input comes from ``--in FILE`` or
 stdin, in either serialization format; results are JSON on stdout. Exit
-status is 0 for any verdict and 2 for input errors.
+status is 0 for any verdict, 2 for input errors (an unparsable or
+intransitive group, a cap below 1), and 3 for an internal fault: a failed
+invariant of the library, reported as ``error: internal: ...`` without a
+traceback.
 """
 
 from __future__ import annotations
@@ -16,15 +19,14 @@ import sys
 import time
 
 from . import corpus
-from .blocks import atkinson_baseline, minimal_block
+from .blocks import InternalError, atkinson_baseline, minimal_block
 from .ioformats import ParseError, emit_generators, parse_generators
 from .perm import GeneratorSet
 from .primitivity import (
     Verdict,
-    find_blocks_from_certificate,
+    _capped_driver,
     primitivity_main,
     primitivity_subquadratic,
-    ss_primitivity,
     ss_uncapped,
 )
 
@@ -71,18 +73,7 @@ def _cmd_primitive(args) -> int:
         if args.uncapped:
             verdict = ss_uncapped(gens)
         elif args.cap is not None:
-            if args.cap < 1:
-                raise InputError("cap must be at least 1")
-            if gens.degree == 1:
-                verdict = Verdict("primitive")
-            else:
-                verdict = ss_primitivity(gens, 0, args.cap)
-                if verdict.kind == "partial_base":
-                    bs = find_blocks_from_certificate(gens, verdict.certificate)
-                    if bs is not None:
-                        verdict = Verdict(
-                            "blocks", blocks=bs, diagnostics=verdict.diagnostics
-                        )
+            verdict = _capped_driver(gens, args.cap, "partial_base")
         elif args.law == "five-thirds":
             verdict = primitivity_subquadratic(gens)
         else:
@@ -301,6 +292,9 @@ def cli_main(argv=None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except InternalError as exc:
+        print(f"error: internal: {exc}", file=sys.stderr)
+        return 3
 
 
 def main() -> None:

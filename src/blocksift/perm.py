@@ -1,14 +1,14 @@
 """Explicit permutations on {0, ..., n-1}, composition, orbits, transitivity.
 
-Composition convention (fixed project-wide): ``compose(g, h)`` acts as
-"first g, then h", i.e. ``apply(compose(g, h), p) == apply(h, apply(g, p))``.
-All modules rely on this right-action order.
+Composition convention (fixed project-wide): ``g * h`` acts as "first g,
+then h", i.e. ``(g * h).apply(p) == h.apply(g.apply(p))``. All modules
+rely on this right-action order.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Sequence
 
@@ -143,7 +143,6 @@ class GeneratorSet:
 
     degree: int
     generators: list[Permutation]
-    labels: list[str] | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.degree < 1:
@@ -155,26 +154,12 @@ class GeneratorSet:
                 raise ValueError(
                     f"generator degree {g.degree} != set degree {self.degree}"
                 )
-        if self.labels is not None and len(self.labels) != len(self.generators):
-            raise ValueError("labels must match generators one-to-one")
 
     def __len__(self) -> int:
         return len(self.generators)
 
     def __iter__(self):
         return iter(self.generators)
-
-
-def apply(g: Permutation, p: int) -> int:
-    return g.apply(p)
-
-
-def compose(g: Permutation, h: Permutation) -> Permutation:
-    return g.compose(h)
-
-
-def inverse(g: Permutation) -> Permutation:
-    return g.inverse()
 
 
 def orbit(actions, start: int, limit: int | None = None) -> list[int]:

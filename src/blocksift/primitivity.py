@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Literal
 
-from .blocks import BlockSystem, blockness_test, minimal_block
+from .blocks import BlockSystem, InternalError, blockness_test, minimal_block
 from .perm import GeneratorSet, Permutation, is_transitive, orbit
 from .sift import Certificate, SiftState
 from .transversal import build_point_transversal, build_scoped_transversal
@@ -154,7 +154,8 @@ def ss_primitivity(gens: GeneratorSet, alpha: int, cap: int) -> Verdict:
             s = scoped.rmap.word(wit.beta).eval()
             t = scoped.rmap.word(wit.gamma).eval()
             g = s * wit.g1 * t.inverse()
-            assert g.images[alpha] == alpha, "witness product must stabilize alpha"
+            if g.images[alpha] != alpha:
+                raise InternalError("witness product must stabilize alpha")
             before = state.sum_xi(2)
             state.deep_sift(g)
             if state.level_count > cap:
@@ -164,7 +165,8 @@ def ss_primitivity(gens: GeneratorSet, alpha: int, cap: int) -> Verdict:
                     state,
                 )
             after = state.sum_xi(2)
-            assert after > before, "H-update must enlarge the deep generator lists"
+            if after <= before:
+                raise InternalError("H-update must enlarge the deep generator lists")
             diag.h_updates += 1
             diag.h_update_growth.append((before, after))
             restarted = True
@@ -177,11 +179,12 @@ def _finish(v: Verdict, diag: Diagnostics, state: SiftState) -> Verdict:
     diag.sifts = state.sift_count
     diag.sum_xi = state.sum_xi()
     v.diagnostics = diag
-    if v.kind == "blocks":
-        assert v.blocks is not None and v.blocks.nontrivial
+    if v.kind == "blocks" and (v.blocks is None or not v.blocks.nontrivial):
+        raise InternalError("a blocks verdict needs a nontrivial block system")
     if v.kind == "partial_base":
-        assert v.certificate is not None and len(v.certificate) == state.cap + 1
-        assert v.certificate.validate()
+        cert = v.certificate
+        if cert is None or len(cert) != state.cap + 1 or not cert.validate():
+            raise InternalError("a partial base needs a valid certificate of cap + 1 entries")
     return v
 
 
@@ -201,12 +204,19 @@ def find_blocks_from_certificate(
         m = minimal_block(gens, [beta, g.images[beta]])
         if 1 < len(m) < n:
             res = blockness_test(gens, m, beta)
-            assert res.kind == "is_block", "minimal block must pass blockness"
+            if res.kind != "is_block":
+                raise InternalError("minimal block must pass blockness")
             return res.system
     return None
 
 
 def _capped_driver(gens: GeneratorSet, cap: int, escape: VerdictKind) -> Verdict:
+    """The one decision path: the capped loop, then the certificate fallback.
+
+    A partial base whose certificate yields no block ends in ``escape``.
+    """
+    if cap < 1:
+        raise ValueError("cap must be at least 1")
     if gens.degree == 1:
         return Verdict("primitive")
     v = ss_primitivity(gens, 0, cap)
@@ -230,10 +240,9 @@ def primitivity_subquadratic(gens: GeneratorSet) -> Verdict:
     return _capped_driver(gens, cap, "all_large_with_params")
 
 
-def ss_uncapped(gens: GeneratorSet, alpha: int = 0) -> Verdict:
+def ss_uncapped(gens: GeneratorSet) -> Verdict:
     """Uncapped decision (cap = n, unreachable by a nonredundant base)."""
-    if gens.degree == 1:
-        return Verdict("primitive")
-    v = ss_primitivity(gens, alpha, gens.degree)
-    assert v.kind != "partial_base", "cap n can never be reached"
+    v = _capped_driver(gens, gens.degree, "partial_base")
+    if v.kind == "partial_base":
+        raise InternalError("cap n can never be reached")
     return v

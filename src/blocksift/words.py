@@ -129,14 +129,6 @@ class Word:
         return f"Word[{body}]" if body else "Word[e]"
 
 
-def word_apply(w: Word, p: int) -> int:
-    return w.apply(p)
-
-
-def word_eval(w: Word) -> Permutation:
-    return w.eval()
-
-
 class CubeList:
     """An ordered list of atoms over a shared store, all of one degree."""
 
@@ -265,14 +257,3 @@ def deep_cube_orbit(xstar: CubeList, beta: int) -> tuple[list[int], WitnessMap]:
         xstar.store, cube_inverse_list(xstar).atoms + tuple(xstar.atoms)
     )
     return cube_set_image(full, [beta])
-
-
-def is_nondegenerate_extension(x: CubeList, delta: Iterable[int], g: Permutation) -> bool:
-    """True iff Delta^g is disjoint from Delta.
-
-    With |Delta| = 2^|X| distinct images witnessing non-degeneracy of
-    C(X), a disjoint translate means appending g keeps the cube
-    non-degenerate and doubles the tracked set.
-    """
-    dset = set(delta)
-    return dset.isdisjoint(g.images[p] for p in dset)

@@ -4,9 +4,6 @@ from hypothesis import given, strategies as st
 from blocksift.perm import (
     GeneratorSet,
     Permutation,
-    apply,
-    compose,
-    inverse,
     is_transitive,
     orbit,
 )
@@ -28,45 +25,45 @@ def shared_degree_perms(count, degree=6):
 
 class TestApply:
     def test_identity(self):
-        assert apply(Permutation.identity(4), 2) == 2
+        assert Permutation.identity(4).apply(2) == 2
 
     def test_cycle(self):
-        assert apply(Permutation([1, 2, 3, 0]), 3) == 0
+        assert Permutation([1, 2, 3, 0]).apply(3) == 0
 
     def test_double_transposition(self):
-        assert apply(Permutation([1, 0, 3, 2]), 1) == 0
+        assert Permutation([1, 0, 3, 2]).apply(1) == 0
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
-            apply(Permutation([1, 0]), 2)
+            Permutation([1, 0]).apply(2)
 
 
 class TestCompose:
     def test_identity_right(self):
         g = Permutation([2, 0, 1])
-        assert compose(g, Permutation.identity(3)) == g
+        assert g * Permutation.identity(3) == g
 
     def test_image_chase(self):
-        assert compose(Permutation([1, 0, 2]), Permutation([0, 2, 1])).images == (2, 0, 1)
+        assert (Permutation([1, 0, 2]) * Permutation([0, 2, 1])).images == (2, 0, 1)
 
     def test_inverse_cancels(self):
         g = Permutation([3, 1, 0, 2])
-        assert compose(g, inverse(g)).is_identity()
+        assert (g * g.inverse()).is_identity()
 
     def test_degree_mismatch(self):
         with pytest.raises(ValueError):
-            compose(Permutation([1, 0]), Permutation([0, 1, 2]))
+            Permutation([1, 0]) * Permutation([0, 1, 2])
 
 
 class TestInverse:
     def test_identity(self):
-        assert inverse(Permutation.identity(3)) == Permutation.identity(3)
+        assert Permutation.identity(3).inverse() == Permutation.identity(3)
 
     def test_cycle(self):
-        assert inverse(Permutation([1, 2, 3, 0])).images == (3, 0, 1, 2)
+        assert Permutation([1, 2, 3, 0]).inverse().images == (3, 0, 1, 2)
 
     def test_involution(self):
-        assert inverse(Permutation([1, 0])).images == (1, 0)
+        assert Permutation([1, 0]).inverse().images == (1, 0)
 
 
 class TestOrbit:
@@ -142,25 +139,25 @@ class TestValidation:
 @given(shared_degree_perms(2), st.integers(0, 5))
 def test_compose_is_pointwise(pair, p):
     g, h = pair
-    assert apply(compose(g, h), p) == apply(h, apply(g, p))
+    assert (g * h).apply(p) == h.apply(g.apply(p))
 
 
 @given(shared_degree_perms(3))
 def test_compose_associative(triple):
     g, h, k = triple
-    assert compose(compose(g, h), k) == compose(g, compose(h, k))
+    assert (g * h) * k == g * (h * k)
 
 
 @given(shared_degree_perms(2))
 def test_inverse_antihomomorphism(pair):
     g, h = pair
-    assert inverse(compose(g, h)) == compose(inverse(h), inverse(g))
+    assert (g * h).inverse() == h.inverse() * g.inverse()
 
 
 @given(random_perms())
 def test_inverse_roundtrip(g):
-    assert inverse(inverse(g)) == g
-    assert compose(g, inverse(g)).is_identity()
+    assert g.inverse().inverse() == g
+    assert (g * g.inverse()).is_identity()
 
 
 @given(random_perms())

@@ -13,9 +13,6 @@ from blocksift.words import (
     cube_inverse_list,
     cube_set_image,
     deep_cube_orbit,
-    is_nondegenerate_extension,
-    word_apply,
-    word_eval,
 )
 from conftest import enumerate_cube, perm, relabel
 
@@ -31,16 +28,16 @@ def store4():
 class TestWordApply:
     def test_empty_is_identity(self):
         s = ElementStore(8)
-        assert word_apply(Word(s), 7) == 7
+        assert Word(s).apply(7) == 7
 
     def test_square_of_cycle(self, store4):
         s, x, _ = store4
         w = Word(s, [Atom(x), Atom(x)])
-        assert word_apply(w, 0) == 2
+        assert w.apply(0) == 2
 
     def test_inverted_atom(self, store4):
         s, x, _ = store4
-        assert word_apply(Word(s, [Atom(x, inverted=True)]), 0) == 3
+        assert Word(s, [Atom(x, inverted=True)]).apply(0) == 3
 
 
     def test_letters_must_name_stored_elements(self, store4):
@@ -56,15 +53,15 @@ class TestWordApply:
 class TestWordEval:
     def test_empty(self):
         s = ElementStore(3)
-        assert word_eval(Word(s)).is_identity()
+        assert Word(s).eval().is_identity()
 
     def test_singleton(self, store4):
         s, x, _ = store4
-        assert word_eval(Word(s, [Atom(x)])) == s.perm(x)
+        assert Word(s, [Atom(x)]).eval() == s.perm(x)
 
     def test_cancellation(self, store4):
         s, x, _ = store4
-        assert word_eval(Word(s, [Atom(x), Atom(x, True)])).is_identity()
+        assert Word(s, [Atom(x), Atom(x, True)]).eval().is_identity()
 
     @given(st.lists(st.tuples(st.integers(0, 1), st.booleans()), max_size=6))
     def test_matches_pointwise_apply(self, spec):
@@ -72,8 +69,8 @@ class TestWordEval:
         s.add(perm(4, (0, 1, 2, 3)))
         s.add(perm(4, (1, 3)))
         w = Word(s, [Atom(i, inv) for i, inv in spec])
-        g = word_eval(w)
-        assert all(word_apply(w, p) == g.apply(p) for p in range(4))
+        g = w.eval()
+        assert all(w.apply(p) == g.apply(p) for p in range(4))
 
 
 class TestCubeSetImage:
@@ -109,7 +106,7 @@ class TestCubeSetImage:
             src, w = wit[p]
             assert src in (0, 2)
             assert len(w) <= len(cube)
-            assert word_apply(w, src) == p
+            assert w.apply(src) == p
 
 
 def _letter_images(store, atom):
@@ -211,7 +208,7 @@ class TestCubeInverseList:
         s = ElementStore(4)
         x = s.add(perm(4, (0, 1), (2, 3)))
         inv = cube_inverse_list(CubeList(s, [Atom(x)]))
-        assert word_eval(Word(s, inv.atoms)) == word_eval(Word(s, [Atom(x)]))
+        assert Word(s, inv.atoms).eval() == Word(s, [Atom(x)]).eval()
 
     def test_cube_of_inverse_is_inverse_cube(self, store4):
         s, x, y = store4
@@ -242,25 +239,7 @@ class TestDeepCubeOrbit:
         assert set(pts) == oracle
         for p in pts:
             w = rmap.word(p)
-            assert len(w) <= 2 and word_apply(w, 0) == p
-
-
-class TestNondegenerateExtension:
-    def test_disjoint_translate(self, store4):
-        s, *_ = store4
-        assert is_nondegenerate_extension(
-            CubeList(s), {0, 1}, perm(4, (0, 2), (1, 3))
-        )
-
-    def test_overlapping_translate(self, store4):
-        s, *_ = store4
-        assert not is_nondegenerate_extension(CubeList(s), {0, 1}, perm(4, (0, 1)))
-
-    def test_identity_never(self, store4):
-        s, *_ = store4
-        assert not is_nondegenerate_extension(
-            CubeList(s), {0, 1}, Permutation.identity(4)
-        )
+            assert len(w) <= 2 and w.apply(0) == p
 
 
 @settings(max_examples=60)

@@ -162,27 +162,80 @@ class GeneratorSet:
         return iter(self.generators)
 
 
-def orbit(actions, start: int, limit: int | None = None) -> list[int]:
-    """Closure of {start} under point-action providers, in BFS discovery order.
+class Orbits:
+    """The orbits of the group generated by some permutations, as flat arrays.
+
+    ``root[p]`` is the least point of p's orbit. At a root r, ``size[r]``
+    is the orbit's size and ``members[first[r]:first[r] + size[r]]`` its
+    points, r first; ``size`` and ``first`` are 0 at other points. No list
+    is kept per orbit (each is walked in a short-lived list, then copied
+    into ``members``): with small orbits there are ~n of them, and a live
+    list each would keep the cyclic GC busy.
+    """
+
+    __slots__ = ("root", "size", "first", "members")
+
+    def __init__(self, degree: int, perms: Sequence[Permutation]):
+        arrays = [g.images for g in perms]
+        root = [-1] * degree
+        size = [0] * degree
+        first = [0] * degree
+        members: list[int] = []
+        # points are scanned in ascending order, so each orbit is first met
+        # at its least point
+        for start in range(degree):
+            if root[start] >= 0:
+                continue
+            root[start] = start
+            cell = [start]
+            for p in cell:  # grows while it is walked
+                for arr in arrays:
+                    q = arr[p]
+                    if root[q] < 0:
+                        root[q] = start
+                        cell.append(q)
+            first[start] = len(members)
+            size[start] = len(cell)
+            members += cell
+        self.root, self.size, self.first, self.members = root, size, first, members
+
+    @property
+    def degree(self) -> int:
+        return len(self.root)
+
+    def cell(self, p: int) -> list[int]:
+        """The points of p's orbit, its least point first."""
+        r = self.root[p]
+        i = self.first[r]
+        return self.members[i:i + self.size[r]]
+
+
+def orbit(
+    actions, start: int, limit: int | None = None, cells: Orbits | None = None
+) -> list[int]:
+    """Closure of {start} under point-action providers, in discovery order.
 
     A provider is anything with an ``apply(p) -> point`` method (a
-    Permutation or a Word). ``start`` comes first; order is deterministic
-    given provider order. With ``limit``, the search stops as soon as it
-    holds more than ``limit`` points and returns that prefix of the BFS
-    order, so a result longer than ``limit`` is not the whole orbit.
+    Permutation or a Word). Without ``cells`` this is a BFS: ``start``
+    comes first, and the order is deterministic given provider order.
+    With ``cells``, the orbits of a group K, the result is the closure
+    under K and the providers together, reached one whole cell at a time:
+    a newly reached point brings in its cell, listed least point first,
+    and only the providers are applied to each point. With ``limit``, the
+    search stops as soon as it holds more than ``limit`` points (with
+    cells, before walking the cell that passed it) and returns what it
+    holds, so a result longer than ``limit`` is not the whole orbit.
     """
     appliers = []
-    degree = None
+    degree = None if cells is None else cells.degree
     for a in actions:
         if isinstance(a, Permutation):
             appliers.append(a.images.__getitem__)
-            d = a.degree
         else:
             appliers.append(a.apply)
-            d = a.degree
         if degree is None:
-            degree = d
-        elif d != degree:
+            degree = a.degree
+        elif a.degree != degree:
             raise ValueError("providers must share one degree")
     if degree is None:
         return [start]
@@ -192,6 +245,8 @@ def orbit(actions, start: int, limit: int | None = None) -> list[int]:
         limit = degree  # an orbit never exceeds the degree
     elif limit < 1:
         raise ValueError("limit must be at least 1")
+    if cells is not None:
+        return _cell_closure(appliers, start, limit, cells)
     seen = bytearray(degree)
     seen[start] = 1
     out = [start]
@@ -206,6 +261,26 @@ def orbit(actions, start: int, limit: int | None = None) -> list[int]:
                 if len(out) > limit:
                     return out
                 queue.append(q)
+    return out
+
+
+def _cell_closure(appliers, start: int, limit: int, cells: Orbits) -> list[int]:
+    """``orbit`` with cells: held cells are a set of roots, so a closure
+    that stops early allocates nothing of the degree's size."""
+    root, size, first, members = cells.root, cells.size, cells.first, cells.members
+    out = cells.cell(start)
+    if len(out) > limit:
+        return out
+    held = {root[start]}
+    for p in out:  # grows while it is walked
+        for f in appliers:
+            r = root[f(p)]
+            if r not in held:
+                held.add(r)
+                i = first[r]
+                out += members[i:i + size[r]]
+                if len(out) > limit:
+                    return out
     return out
 
 

@@ -4,9 +4,11 @@
 candidate sets alpha^<H, r_lam> for blockness, growing H = <X_2* elements>
 from each failed test, until it certifies primitivity, finds a block
 system, or exceeds the base-size cap. A candidate holding more than n/p
-points, p the smallest prime factor of n, lies in no proper block and is
-skipped unclosed. The front ends pick the cap (5 log n, (9/2) n^(1/3),
-or n) and handle the certificate fallback.
+points, p the smallest prime factor of n, lies in no proper block: one
+whose H-orbit alone is that large is dropped unclosed, and the others are
+closed one H-orbit at a time and skipped once they pass n/p. The front
+ends pick the cap (5 log n, (9/2) n^(1/3), or n) and handle the
+certificate fallback.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Literal
 
 from .blocks import BlockSystem, InternalError, blockness_test, minimal_block
-from .perm import GeneratorSet, Permutation, is_transitive, orbit
+from .perm import GeneratorSet, Orbits, is_transitive, orbit
 from .sift import Certificate, SiftState
 from .transversal import build_point_transversal, build_scoped_transversal
 
@@ -35,7 +37,10 @@ class Diagnostics:
 
     sifts: int = 0
     h_updates: int = 0
-    # blockness tests run; skipped candidates are not counted
+    # candidate closures run; H-orbits too large for a proper block are
+    # dropped unclosed and not counted
+    candidates_closed: int = 0
+    # blockness tests run; candidates that close past n/p are not counted
     candidates_tested: int = 0
     sum_xi: int = 0
     # (before, after) of sum over levels >= 2, one pair per H-update
@@ -45,6 +50,7 @@ class Diagnostics:
         return {
             "sifts": self.sifts,
             "h_updates": self.h_updates,
+            "candidates_closed": self.candidates_closed,
             "candidates_tested": self.candidates_tested,
             "sum_xi": self.sum_xi,
             "h_update_growth": [[before, after] for before, after in self.h_update_growth],
@@ -57,37 +63,6 @@ class Verdict:
     blocks: BlockSystem | None = None
     certificate: Certificate | None = None
     diagnostics: Diagnostics = field(default_factory=Diagnostics)
-
-
-def _h_orbit_sizes(n: int, hgens: list[Permutation]) -> list[int]:
-    """Size of each H-orbit at the orbit's least point, 0 at other points.
-
-    Points are scanned in ascending order, so each orbit is first met at
-    its least point. No list is built per orbit: with small H-orbits there
-    are ~n of them, and a list each would keep the cyclic GC busy.
-    """
-    if not hgens:
-        return [1] * n
-    arrays = [g.images for g in hgens]
-    seen = bytearray(n)
-    size = [0] * n
-    stack = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        seen[start] = 1
-        stack.append(start)
-        count = 0
-        while stack:
-            p = stack.pop()
-            count += 1
-            for arr in arrays:
-                q = arr[p]
-                if not seen[q]:
-                    seen[q] = 1
-                    stack.append(q)
-        size[start] = count
-    return size
 
 
 def _largest_proper_divisor(n: int) -> int:
@@ -125,20 +100,25 @@ def ss_primitivity(gens: GeneratorSet, alpha: int, cap: int) -> Verdict:
 
     while True:
         hgens = state.deep_element_perms()
-        size = _h_orbit_sizes(n, hgens)
-        # one candidate per H-orbit but alpha's, by orbit size and then
-        # least point; size * n + lam orders as that pair without a tuple
+        # the candidate is a union of H-orbits: close it one whole H-orbit
+        # at a time, unless H is trivial and plain BFS is cheaper
+        cells = Orbits(n, hgens) if hgens else None
+        size = cells.size if cells else [1] * n
+        # <H, r_lam> maps every block holding alpha and lam to itself, so a
+        # candidate of more than dmax points shows that no proper block holds
+        # both. The candidate holds alpha and all of lam^H, which misses
+        # alpha, so an H-orbit of dmax or more points is dropped unclosed.
+        # One candidate per H-orbit left but alpha's, by orbit size and then
+        # least point; size * n + lam orders as that pair without a tuple.
         reps = sorted(
-            (lam for lam in range(n) if size[lam] and lam != alpha),
+            (lam for lam in range(n) if 0 < size[lam] < dmax and lam != alpha),
             key=lambda lam: size[lam] * n + lam,
         )
         restarted = False
         for lam in reps:
             r_word = rmap.word(lam)
-            # <H, r_lam> maps every block holding alpha and lam to itself,
-            # so a candidate larger than any proper block shows that no
-            # proper block holds both: skip it without closing the orbit.
-            delta = orbit(hgens + [r_word], alpha, dmax)
+            diag.candidates_closed += 1
+            delta = orbit([r_word], alpha, dmax, cells)
             if len(delta) > dmax:
                 continue
             diag.candidates_tested += 1

@@ -179,24 +179,38 @@ class SiftState:
         )
 
     def validate(self) -> None:
-        """Check all structural invariants; raises AssertionError on violation."""
-        assert 1 <= self.level_count <= self.cap + 1
-        assert len(set(self.base)) == self.level_count, "base points must be distinct"
+        """Check all structural invariants; raises AssertionError on violation.
+
+        The checks are explicit raises, not ``assert`` statements, so they
+        also run under ``python -O``.
+        """
+        if not 1 <= self.level_count <= self.cap + 1:
+            raise AssertionError("level count must lie in 1..cap+1")
+        if len(set(self.base)) != self.level_count:
+            raise AssertionError("base points must be distinct")
         log2n = max(1, (self.n - 1).bit_length())
         for k, lv in enumerate(self.levels):
-            assert lv.elems, "every level has a nonempty X_i"
-            assert len(lv.elems) <= log2n
-            assert len(lv.delta) == 2 ** len(lv.elems)
-            assert lv.beta in lv.delta
+            if not lv.elems:
+                raise AssertionError("every level has a nonempty X_i")
+            if len(lv.elems) > log2n:
+                raise AssertionError("|X_i| must be at most log2 n")
+            if len(lv.delta) != 2 ** len(lv.elems):
+                raise AssertionError("|Delta_i| must be 2^|X_i|")
+            if lv.beta not in lv.delta:
+                raise AssertionError("beta_i must lie in Delta_i")
             for idx in lv.elems:
                 x = self.store.perm(idx)
-                assert x.images[lv.beta] != lv.beta
+                if x.images[lv.beta] == lv.beta:
+                    raise AssertionError("every element of X_i moves beta_i")
                 for prev in self.levels[:k]:
-                    assert x.images[prev.beta] == prev.beta
+                    if x.images[prev.beta] != prev.beta:
+                        raise AssertionError("X_i must fix the earlier base points")
             for p in lv.delta:
                 w = lv.witness.word(p)
-                assert len(w) <= len(lv.elems)
-                assert w.apply(lv.beta) == p
+                if len(w) > len(lv.elems):
+                    raise AssertionError("a witness word is at most |X_i| long")
+                if w.apply(lv.beta) != p:
+                    raise AssertionError("a witness word maps beta_i to its point")
 
     def debug_dump(self) -> dict:
         """JSON-ready snapshot of the per-level structure."""

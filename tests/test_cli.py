@@ -31,9 +31,9 @@ class TestPrimitive:
         doc = json.loads(out)
         assert doc["verdict"] == "blocks"
         assert sorted(len(b) for b in doc["blocks"]) in ([2, 2, 2], [3, 3])
-        assert {"sifts", "h_updates", "candidates_tested", "sum_xi"} <= set(
-            doc["diagnostics"]
-        )
+        assert {
+            "sifts", "h_updates", "candidates_closed", "candidates_tested", "sum_xi"
+        } <= set(doc["diagnostics"])
         assert doc["time_ms"] >= 0
 
     def test_primitive_verdict(self, capsys, monkeypatch):
@@ -112,6 +112,8 @@ class TestPrimitive:
         diag = json.loads(out)["diagnostics"]
         assert code == 0 and diag["h_updates"] == len(diag["h_update_growth"]) > 0
         assert all(after > before for before, after in diag["h_update_growth"])
+        # every blockness test follows a closure
+        assert diag["candidates_closed"] >= diag["candidates_tested"] >= diag["h_updates"]
 
 
 class TestBaseline:

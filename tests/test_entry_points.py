@@ -159,13 +159,41 @@ def test_internal_checks_survive_python_dash_o():
             sys.exit(0)
         sys.exit(1)
     """)
+    proc = run_dash_o(script)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.startswith("InternalError: H-update")
+
+
+def test_state_validation_survives_python_dash_o():
+    script = textwrap.dedent("""
+        import sys
+        from blocksift.corpus import build, parse_spec
+        from blocksift.transversal import build_point_transversal
+
+        assert False, "assert statements must be stripped"
+        state = build_point_transversal(build(parse_spec("dihedral(16)")), 0, 20).state
+        state.validate()
+        level = state.levels[0]
+        level.elems.append(level.elems[-1])  # X_1 holds one element twice
+        try:
+            state.validate()
+        except AssertionError as exc:
+            print("AssertionError:", exc)
+            sys.exit(0)
+        sys.exit(1)
+    """)
+    proc = run_dash_o(script)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.startswith("AssertionError: ")
+
+
+def run_dash_o(script: str) -> subprocess.CompletedProcess:
+    """Run a script under ``python -O`` with this package importable."""
     src = Path(blocksift.__file__).resolve().parent.parent
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (str(src), os.environ.get("PYTHONPATH")) if p
     )}
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-O", "-c", script],
         capture_output=True, text=True, env=env, timeout=60,
     )
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert proc.stdout.startswith("InternalError: H-update")

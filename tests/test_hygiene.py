@@ -1,6 +1,6 @@
 """Source hygiene of the package, checked with the stdlib ``ast`` module:
-no unused import, no unreferenced module-level private name, and an
-``__all__`` whose every name resolves."""
+no unused import, no unreferenced module-level private name, an
+``__all__`` whose every name resolves, and no ``assert`` statement."""
 
 import ast
 from pathlib import Path
@@ -98,3 +98,10 @@ def test_all_names_resolve():
     assert names == all_names(parse(PACKAGE / "__init__.py"))
     missing = [n for n in names if not hasattr(blocksift, n)]
     assert not missing, f"__all__ names that do not resolve: {missing}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_assert_statements(path):
+    # python -O strips assert statements; an invariant must raise explicitly
+    asserts = [node.lineno for node in ast.walk(parse(path)) if isinstance(node, ast.Assert)]
+    assert not asserts, f"{path.name}: assert statements on lines {asserts}"

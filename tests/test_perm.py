@@ -3,6 +3,7 @@ from hypothesis import given, strategies as st
 
 from blocksift.perm import (
     GeneratorSet,
+    Orbits,
     Permutation,
     is_transitive,
     orbit,
@@ -109,6 +110,66 @@ class TestOrbitLimit:
     def test_limit_below_one_rejected(self):
         with pytest.raises(ValueError):
             orbit([perm(3, (0, 1, 2))], 0, 0)
+
+
+class TestOrbits:
+    def test_fixed_case(self):
+        cells = Orbits(8, [perm(8, (3, 1, 6)), perm(8, (6, 4), (0, 7))])
+        assert cells.root == [0, 1, 2, 1, 1, 5, 1, 0]
+        assert [cells.size[r] for r in (0, 1, 2, 5)] == [2, 4, 1, 1]
+        assert cells.size[3] == cells.first[3] == 0
+        assert cells.cell(6) == cells.cell(1) and cells.cell(6)[0] == 1
+        assert sorted(cells.cell(4)) == [1, 3, 4, 6]
+
+    def test_no_generators_gives_singletons(self):
+        cells = Orbits(5, [])
+        assert cells.root == cells.first == cells.members == [0, 1, 2, 3, 4]
+        assert cells.size == [1] * 5 and cells.degree == 5
+
+    @given(st.integers(1, 12).flatmap(
+        lambda n: st.lists(st.permutations(list(range(n))).map(Permutation), max_size=3)
+        .map(lambda gens: (n, gens))
+    ))
+    def test_partition_of_the_points(self, case):
+        n, gens = case
+        cells = Orbits(n, gens)
+        roots = [r for r in range(n) if cells.size[r]]
+        assert roots == sorted(set(cells.root))
+        assert sum(cells.size) == n
+        assert sorted(cells.members) == list(range(n))
+        for r in roots:
+            cell = cells.members[cells.first[r]:cells.first[r] + cells.size[r]]
+            assert cell[0] == r == min(cell)
+            assert sorted(cell) == (sorted(orbit(gens, r)) if gens else [r])
+            assert all(cells.root[p] == r for p in cell)
+
+
+class TestOrbitCells:
+    # K is generated by the double transposition (0 1)(4 5); the provider
+    # is the 6-cycle
+    K = Orbits(6, [perm(6, (0, 1), (4, 5))])
+    R = perm(6, (0, 2, 4), (1, 3, 5))
+
+    def test_whole_cells_in_reach_order(self):
+        assert orbit([self.R], 0, cells=self.K) == [0, 1, 2, 3, 4, 5]
+        # 3 reaches 5, whose cell comes in least point first
+        assert orbit([self.R], 3, cells=self.K) == [3, 4, 5, 0, 1, 2]
+
+    def test_no_providers_gives_the_cell(self):
+        assert orbit([], 5, cells=self.K) == [4, 5]
+
+    def test_limit_checked_before_walking_a_cell(self):
+        # the start's cell alone passes the limit
+        assert orbit([self.R], 4, 1, self.K) == [4, 5]
+        # {0, 1} fits; the cell {2} reached from 0 makes 3 points
+        assert orbit([self.R], 0, 2, self.K) == [0, 1, 2]
+        assert orbit([self.R], 0, 6, self.K) == orbit([self.R], 0, cells=self.K)
+
+    def test_degree_mismatch_rejected(self):
+        with pytest.raises(ValueError):
+            orbit([perm(5, (0, 1))], 0, cells=self.K)
+        with pytest.raises(ValueError):
+            orbit([self.R], 6, cells=self.K)
 
 
 class TestTransitivity:

@@ -1,11 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from blocksift.blocks import atkinson_baseline, minimal_block, validate_block_system
 from blocksift.corpus import build, parse_spec, spec_order
 from blocksift import primitivity
-from blocksift.perm import GeneratorSet, orbit
+from blocksift.perm import GeneratorSet, Orbits, orbit
 from blocksift.primitivity import (
     find_blocks_from_certificate,
     primitivity_main,
@@ -14,6 +15,7 @@ from blocksift.primitivity import (
     ss_uncapped,
 )
 from blocksift.sift import Certificate
+from blocksift.transversal import build_point_transversal
 from conftest import perm, relabel
 
 
@@ -144,7 +146,12 @@ class TestDiagnostics:
         d = v.diagnostics
         assert d.sifts > 0 and d.sum_xi > 0
         assert set(d.as_dict()) == {
-            "sifts", "h_updates", "candidates_tested", "sum_xi", "h_update_growth"
+            "sifts",
+            "h_updates",
+            "candidates_closed",
+            "candidates_tested",
+            "sum_xi",
+            "h_update_growth",
         }
 
     def test_h_update_accounting(self, small_corpus):
@@ -169,12 +176,20 @@ class TestCandidateSizeBound:
     @pytest.mark.parametrize("extra", [0, 2])
     @pytest.mark.parametrize("p", [3, 5, 7, 13, 31, 61, 127, 257])
     @pytest.mark.parametrize("family", ["cyclic", "dihedral"])
-    def test_prime_degree_primitive_without_blockness_tests(self, family, p, extra):
+    def test_prime_degree_primitive_without_blockness_tests(self, monkeypatch, family, p, extra):
         gens = relabel(build(parse_spec(f"{family}({p})")), random.Random(p + extra), extra)
         assert atkinson_baseline(gens) is None
         for driver in DRIVERS:
             assert driver(gens).kind == "primitive", driver.__name__
-        assert primitivity_main(gens).diagnostics.candidates_tested == 0
+        # n/p = 1 and every H-orbit holds at least one point, so the size
+        # filter alone empties the scan: no candidate is closed
+        closures = []
+        monkeypatch.setattr(
+            primitivity, "orbit", lambda *args: closures.append(args) or orbit(*args)
+        )
+        d = primitivity_main(gens).diagnostics
+        assert d.candidates_closed == 0 and d.candidates_tested == 0
+        assert closures == []
 
     @pytest.mark.parametrize("extra", [0, 2])
     @pytest.mark.parametrize(
@@ -204,27 +219,64 @@ class TestCandidateSizeBound:
                 assert v.blocks.nontrivial and validate_block_system(gens, v.blocks)
 
     @pytest.mark.parametrize(
-        "spec,seed",
-        [("alternating(6)", 200), ("subsets(8,2)", 200), ("m24", 100), ("symmetric(12)", 100)],
+        "spec,seed,routes",
+        [
+            pytest.param(spec, seed, routes, id=f"{spec}-{seed}")
+            for spec, seed, routes in [
+                ("alternating(6)", 200, {"closed"}),
+                ("subsets(8,2)", 200, {"closed"}),
+                ("m24", 100, {"closed"}),
+                ("symmetric(12)", 100, {"closed"}),
+                ("subsets(6,2)", 25, {"closed", "dropped"}),
+                ("subsets(7,2)", 11, {"closed", "dropped"}),
+            ]
+        ],
     )
-    def test_skipped_candidates_lie_in_no_proper_block(self, monkeypatch, spec, seed):
-        # these relabellings give candidates with n/p < |delta| < n
+    def test_skipped_candidates_lie_in_no_proper_block(self, monkeypatch, spec, seed, routes):
+        # A candidate is skipped on one of two routes: its H-orbit alone
+        # holds n/p or more points and it is dropped unclosed, or its
+        # closure passes n/p. These relabellings give skipped candidates
+        # with n/p < |alpha^<H, r_lam>| < n on the routes listed.
         gens = relabel(build(parse_spec(spec)), random.Random(seed))
         n = gens.degree
-        skipped_short_of_n = []
+        omega = set(range(n))
+        dmax = primitivity._largest_proper_divisor(n)
+        transversals, scans = [], []
+        skipped = []  # (route, size of the whole candidate orbit)
 
-        def checked_orbit(actions, start, limit=None):
-            delta = orbit(actions, start, limit)
+        def recording_transversal(*args):
+            transversals.append(build_point_transversal(*args))
+            return transversals[-1]
+
+        def recording_orbits(degree, hgens):
+            scans.append((list(hgens), Orbits(degree, hgens)))
+            return scans[-1][1]
+
+        def checked_orbit(actions, start, limit=None, cells=None):
+            delta = orbit(actions, start, limit, cells)
             if limit is not None and len(delta) > limit:
-                # H fixes alpha, so the first new point is lam = alpha^r_lam
-                assert minimal_block(gens, delta[:2]) == set(range(n))
-                skipped_short_of_n.append(len(orbit(actions, start)) < n)
+                lam = actions[-1].apply(start)  # the r-word comes last
+                assert minimal_block(gens, [start, lam]) == omega
+                skipped.append(("closed", len(orbit(actions, start, cells=cells))))
             return delta
 
+        monkeypatch.setattr(primitivity, "build_point_transversal", recording_transversal)
+        monkeypatch.setattr(primitivity, "Orbits", recording_orbits)
         monkeypatch.setattr(primitivity, "orbit", checked_orbit)
         for driver in (primitivity_main, ss_uncapped):
+            transversals.clear()
+            scans.clear()
             assert driver(gens).kind == "primitive"
-        assert any(skipped_short_of_n)
+            (tr,) = transversals
+            alpha = tr.orbit[0]
+            for hgens, horbits in scans:
+                for lam in range(n):
+                    # size is 0 off the least point of each H-orbit
+                    if lam != alpha and horbits.size[lam] >= dmax:
+                        assert minimal_block(gens, [alpha, lam]) == omega
+                        full = orbit(hgens + [tr.rmap.word(lam)], alpha)
+                        skipped.append(("dropped", len(full)))
+        assert routes <= {route for route, size in skipped if size < n}
 
 
 def test_h_update_growth_exported(full_corpus):
@@ -237,3 +289,33 @@ def test_h_update_growth_exported(full_corpus):
             assert after > before, entry.name
         updated += bool(growth)
     assert updated >= 3
+
+
+CELL_SPECS = [
+    "symmetric(5)", "alternating(6)", "dihedral(12)", "subsets(6,2)",
+    "product(3,2)", "wreath(cyclic(3),3)", "wreath(symmetric(3),2)", "m24",
+]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_cell_closure_matches_plain_closure(data):
+    # H from a real sift state: the levels below the first, which fix alpha
+    spec = data.draw(st.sampled_from(CELL_SPECS))
+    rng = random.Random(data.draw(st.integers(0, 2**16)))
+    gens = relabel(build(parse_spec(spec)), rng, data.draw(st.integers(0, 1)))
+    n = gens.degree
+    alpha = data.draw(st.integers(0, n - 1))
+    tr = build_point_transversal(gens, alpha, n)
+    hgens = tr.state.deep_element_perms()
+    cells = Orbits(n, hgens)
+    r = tr.rmap.word(data.draw(st.sampled_from(tr.orbit)))
+    start = data.draw(st.sampled_from([alpha, rng.randrange(n)]))
+    limit = data.draw(st.integers(1, n))
+    full = orbit(hgens + [r], start)
+    got = orbit([r], start, limit, cells)
+    assert len(set(got)) == len(got) and set(got) <= set(full)
+    if len(full) <= limit:
+        assert sorted(got) == sorted(full)
+    else:
+        assert len(got) > limit

@@ -140,6 +140,10 @@ def minimal_block(gens: GeneratorSet, seed: Iterable[int]) -> set[int]:
     seed = list(seed)
     if not seed:
         raise ValueError("seed must be nonempty")
+    for p in seed:
+        # a negative index would silently name a point counted from the end
+        if not 0 <= p < gens.degree:
+            raise ValueError(f"seed point {p} out of range for degree {gens.degree}")
     if not is_transitive(gens):
         raise ValueError("minimal_block requires a transitive group")
     return _minimal_block_unchecked(gens, seed)

@@ -203,6 +203,8 @@ def _cmd_bench(args) -> int:
         sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
     except ValueError as exc:
         raise InputError(f"bad --sizes value: {args.sizes!r}") from exc
+    if args.runs < 1:
+        raise InputError(f"--runs must be at least 1, not {args.runs}")
     family = args.family.lower().replace("-", "_")
     print("family,n,|S|,time_ms,sifts,h_updates,sum_Xi")
     for size in sizes:

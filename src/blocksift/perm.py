@@ -53,12 +53,6 @@ class Permutation:
             raise ValueError(f"point {p} out of range for degree {len(self.images)}")
         return self.images[p]
 
-    def compose(self, other: "Permutation") -> "Permutation":
-        """First self, then other."""
-        if other.degree != self.degree:
-            raise ValueError("degree mismatch in compose")
-        return Permutation.unchecked(compose_images(self.images, other.images))
-
     def inverse(self) -> "Permutation":
         if self._inv is None:
             inv = [0] * len(self.images)
@@ -114,7 +108,10 @@ class Permutation:
         return cls(images)
 
     def __mul__(self, other: "Permutation") -> "Permutation":
-        return self.compose(other)
+        """First self, then other."""
+        if other.degree != self.degree:
+            raise ValueError("degree mismatch in product")
+        return Permutation.unchecked(product_images(self.images, other.images))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Permutation) and self.images == other.images
@@ -130,7 +127,7 @@ class Permutation:
         return f"Permutation[{self.degree}] {text}"
 
 
-def compose_images(first: tuple[int, ...], then: tuple[int, ...]) -> tuple[int, ...]:
+def product_images(first: tuple[int, ...], then: tuple[int, ...]) -> tuple[int, ...]:
     """Image tuple of "first, then": ``then[first[p]]`` for every p."""
     if len(first) == 1:
         return (then[first[0]],)  # itemgetter of one key returns a bare item

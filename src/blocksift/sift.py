@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Literal
 
 from .perm import Permutation
-from .words import Atom, CubeList, ElementStore, WitnessMap, Word, deep_cube_orbit
+from .words import Atom, ElementStore, WitnessMap, Word, deep_cube_orbit
 
 
 @dataclass
@@ -121,14 +121,14 @@ class SiftState:
             out.extend(self.store.perm(idx) for idx in lv.elems)
         return out
 
-    def xstar(self, i: int) -> CubeList:
-        """Concatenation X_l, X_{l-1}, ..., X_i as a cube list."""
+    def xstar(self, i: int) -> Word:
+        """Concatenation X_l, X_{l-1}, ..., X_i as one word."""
         if not 1 <= i <= self.level_count:
             raise ValueError(f"level {i} out of range 1..{self.level_count}")
         atoms = []
         for lv in reversed(self.levels[i - 1:]):
             atoms.extend(Atom(idx) for idx in lv.elems)
-        return CubeList(self.store, atoms)
+        return Word(self.store, atoms)
 
     def level_deep_orbit(self, i: int) -> tuple[list[int], WitnessMap]:
         """Images of beta_i under the deep cube at level i, with r-words."""

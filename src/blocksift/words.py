@@ -3,17 +3,17 @@
 Group elements produced during sifting live in an append-only
 :class:`ElementStore`; a :class:`Word` is a flat sequence of atoms, each a
 (store index, inversion flag) pair, evaluated left to right under the
-project-wide right-action convention. A :class:`CubeList` is an ordered
-list of atoms X generating the set of subset products
+project-wide right-action convention. A word's letters, read as a list
+X, also name the cube C(X): the set of subset products
 x1^e1 ... xj^ej (e in {0,1}).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable
 
-from .perm import Permutation, compose_images
+from .perm import Permutation, product_images
 
 
 @dataclass(frozen=True, slots=True)
@@ -116,7 +116,7 @@ class Word:
         atom_images = self.store.atom_images
         cur = atom_images(self.atoms[0])
         for atom in self.atoms[1:]:
-            cur = compose_images(cur, atom_images(atom))
+            cur = product_images(cur, atom_images(atom))
         return Permutation.unchecked(cur)
 
     def inverse_word(self) -> "Word":
@@ -129,29 +129,8 @@ class Word:
         return f"Word[{body}]" if body else "Word[e]"
 
 
-class CubeList:
-    """An ordered list of atoms over a shared store, all of one degree."""
-
-    __slots__ = ("store", "atoms")
-
-    def __init__(self, store: ElementStore, atoms: Iterable[Atom] = ()):
-        self.store = store
-        self.atoms = tuple(atoms)
-
-    def __len__(self) -> int:
-        return len(self.atoms)
-
-    def __iter__(self) -> Iterator[Atom]:
-        return iter(self.atoms)
-
-
-def cube_inverse_list(x: CubeList) -> CubeList:
-    """The reverse of the list of inverses; C(X)^-1 = C(X^-1)."""
-    return CubeList(x.store, tuple(a.invert() for a in reversed(x.atoms)))
-
-
-class WitnessMap(Mapping):
-    """Point -> (source point, witness word) map kept as parent links.
+class WitnessMap:
+    """Witness words of the points a cube expansion reaches, as parent links.
 
     Two degree-sized arrays hold, per discovered point, the point it was
     reached from and the letter that reached it; a root is its own parent
@@ -207,26 +186,8 @@ class WitnessMap(Mapping):
         rev.reverse()
         return Word(self.store, rev)
 
-    def source(self, p: int) -> int:
-        """The root point p was reached from."""
-        if p not in self:
-            raise KeyError(p)
-        parent = self.parent
-        while parent[p] != p:
-            p = parent[p]
-        return p
 
-    def __getitem__(self, p: int) -> tuple[int, Word]:
-        return self.source(p), self.word(p)
-
-    def __iter__(self):
-        return iter(self.points)
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-
-def cube_set_image(x: CubeList, delta: Iterable[int]) -> tuple[list[int], WitnessMap]:
+def cube_set_image(x: Word, delta: Iterable[int]) -> tuple[list[int], WitnessMap]:
     """Image set of ``delta`` under the cube C(X), with witness words.
 
     Expands Delta_t = Delta_{t-1} union Delta_{t-1}^{x_t} in list order.
@@ -247,13 +208,12 @@ def cube_set_image(x: CubeList, delta: Iterable[int]) -> tuple[list[int], Witnes
     return wit.points, wit
 
 
-def deep_cube_orbit(xstar: CubeList, beta: int) -> tuple[list[int], WitnessMap]:
+def deep_cube_orbit(xstar: Word, beta: int) -> tuple[list[int], WitnessMap]:
     """Image set of ``beta`` under the deep cube C(X*)^-1 C(X*).
 
-    Runs :func:`cube_set_image` over the concatenation X*^-1, X*; every
-    output point gets a word of length <= 2|X*| mapping ``beta`` to it.
+    Runs :func:`cube_set_image` over the concatenation X*^-1, X*, since
+    C(X)^-1 = C(X^-1) for X^-1 the reversed list of inverses; every output
+    point gets a word of length <= 2|X*| mapping ``beta`` to it.
     """
-    full = CubeList(
-        xstar.store, cube_inverse_list(xstar).atoms + tuple(xstar.atoms)
-    )
+    full = Word(xstar.store, xstar.inverse_word().atoms + xstar.atoms)
     return cube_set_image(full, [beta])

@@ -45,6 +45,12 @@ class TestMinimalBlock:
         with pytest.raises(ValueError):
             minimal_block(C4, set())
 
+    def test_out_of_range_seed_rejected(self):
+        # -1 must not be read as point n-1, nor 9 fail as an IndexError
+        for seed in ([0, 9], [-1], [4], [0, -4]):
+            with pytest.raises(ValueError, match="out of range"):
+                minimal_block(C4, seed)
+
 
 class TestBlocknessTest:
     def test_c4_block(self):

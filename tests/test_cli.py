@@ -143,6 +143,13 @@ class TestMinblock:
         )
         assert code == 2
 
+    def test_out_of_range_seed_exits_2(self, capsys, monkeypatch):
+        c4 = '{"degree":4,"generators":[[1,2,3,0]]}'
+        for seed in ("0,9", "-1"):
+            code, out, err = run(capsys, monkeypatch, ["minblock", "--seed", seed], stdin=c4)
+            assert code == 2 and out == ""
+            assert err.startswith("error:") and "out of range" in err
+
 
 class TestGeneratorPipeline:
     def test_gen_then_primitive(self, capsys, monkeypatch):
@@ -196,6 +203,15 @@ class TestBench:
         assert lines[0] == "family,n,|S|,time_ms,sifts,h_updates,sum_Xi"
         assert len(lines) == 3
         assert lines[1].startswith("dihedral,8,") and lines[2].startswith("dihedral,16,")
+
+    def test_runs_below_one_exits_2(self, capsys, monkeypatch):
+        for runs in ("0", "-3"):
+            code, out, err = run(
+                capsys, monkeypatch,
+                ["bench", "--family", "dihedral", "--sizes", "8", "--runs", runs],
+            )
+            assert code == 2 and out == ""
+            assert err.startswith("error:") and "--runs" in err
 
 
 def test_no_subcommand_is_usage_error(capsys, monkeypatch):

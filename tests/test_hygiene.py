@@ -1,13 +1,18 @@
 """Source hygiene of the package, checked with the stdlib ``ast`` module:
 no unused import, no unreferenced module-level private name, an
-``__all__`` whose every name resolves, and no ``assert`` statement."""
+``__all__`` whose every name resolves, and no ``assert`` statement; and
+the names the benchmark's tracer patches still exist and get traced."""
 
 import ast
+import importlib.util
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import blocksift
+from blocksift import blocks, ioformats, perm, primitivity, sift, transversal, words
+from blocksift.corpus import build, parse_spec
 
 PACKAGE = Path(blocksift.__file__).resolve().parent
 MODULES = sorted(PACKAGE.glob("*.py"))
@@ -105,3 +110,29 @@ def test_no_assert_statements(path):
     # python -O strips assert statements; an invariant must raise explicitly
     asserts = [node.lineno for node in ast.walk(parse(path)) if isinstance(node, ast.Assert)]
     assert not asserts, f"{path.name}: assert statements on lines {asserts}"
+
+
+def test_tracer_patch_points_exist():
+    # perfbench/tracing.py wraps package names by attribute; a rename there
+    # would break the benchmark's traced mode
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("blocksift_perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    bs = SimpleNamespace(
+        GeneratorSet=blocksift.GeneratorSet, Permutation=blocksift.Permutation,
+        perm=perm, words=words, sift=sift, transversal=transversal,
+        blocks=blocks, primitivity=primitivity, ioformats=ioformats,
+    )
+    orbit, apply = primitivity.orbit, words.Word.apply
+    gens = build(parse_spec("subsets(6,2)"))
+    tracer = tracing.Tracer(bs)
+    with tracer.traced():
+        verdict = primitivity.primitivity_main(gens)
+    assert verdict.kind == "primitive"
+    names = {s[0] for s in tracer.spans}
+    assert {
+        "primitivity.ss_primitivity", "sift.deep_sift",
+        "words.deep_cube_orbit", "primitivity.candidate_bfs",
+    } <= names
+    assert primitivity.orbit is orbit and words.Word.apply is apply

@@ -5,15 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from blocksift.corpus import build, parse_spec
 from blocksift.perm import Permutation
-from blocksift.words import (
-    Atom,
-    CubeList,
-    ElementStore,
-    Word,
-    cube_inverse_list,
-    cube_set_image,
-    deep_cube_orbit,
-)
+from blocksift.words import Atom, ElementStore, Word, cube_set_image, deep_cube_orbit
 from conftest import enumerate_cube, perm, relabel
 
 
@@ -76,37 +68,39 @@ class TestWordEval:
 class TestCubeSetImage:
     def test_empty_cube(self):
         s = ElementStore(5)
-        pts, wit = cube_set_image(CubeList(s), [3])
+        pts, wit = cube_set_image(Word(s), [3])
         assert pts == [3]
-        assert wit.source(3) == 3 and len(wit.word(3)) == 0
+        assert len(wit.word(3)) == 0 and wit.word(3).apply(3) == 3
 
     def test_single_factor(self, store4):
         s, x, _ = store4
-        pts, wit = cube_set_image(CubeList(s, [Atom(x)]), [0])
+        pts, wit = cube_set_image(Word(s, [Atom(x)]), [0])
         assert set(pts) == {0, 1}
-        assert wit.source(1) == 0 and [a.elem for a in wit.word(1).atoms] == [x]
+        assert wit.word(1).atoms == (Atom(x),) and wit.word(1).apply(0) == 1
 
     def test_two_factors_cover(self, store4):
         s, x, y = store4
-        pts, _ = cube_set_image(CubeList(s, [Atom(x), Atom(y)]), [0])
+        pts, _ = cube_set_image(Word(s, [Atom(x), Atom(y)]), [0])
         assert set(pts) == {0, 1, 2, 3}
 
     def test_empty_delta_rejected(self, store4):
         s, *_ = store4
         with pytest.raises(ValueError):
-            cube_set_image(CubeList(s), [])
+            cube_set_image(Word(s), [])
 
     def test_witness_contract(self, store4):
         # every output point: word over an index-ordered subsequence of X,
         # length <= |X|, mapping its source point to it
         s, x, y = store4
-        cube = CubeList(s, [Atom(x), Atom(y), Atom(x)])
+        cube = Word(s, [Atom(x), Atom(y), Atom(x)])
         pts, wit = cube_set_image(cube, [0, 2])
+        _, ref = reference_cube_set_image(s, cube.atoms, [0, 2])
         for p in pts:
-            src, w = wit[p]
+            src, letters = ref[p]
+            w = wit.word(p)
             assert src in (0, 2)
             assert len(w) <= len(cube)
-            assert w.apply(src) == p
+            assert w.atoms == letters and w.apply(src) == p
 
 
 def _letter_images(store, atom):
@@ -139,14 +133,14 @@ def reference_cube_set_image(store, atoms, delta):
 
 
 def assert_matches_reference(store, atoms, delta):
-    pts, wit = cube_set_image(CubeList(store, atoms), delta)
+    pts, wit = cube_set_image(Word(store, atoms), delta)
     ref_order, ref = reference_cube_set_image(store, atoms, delta)
     assert pts == ref_order
-    assert list(wit) == ref_order and len(wit) == len(ref)
+    assert wit.points == ref_order and len(wit.points) == len(ref)
     for p in pts:
-        src, w = wit[p]
-        assert (src, w.atoms) == ref[p]
-        assert (wit.source(p), wit.word(p).atoms) == ref[p]
+        src, letters = ref[p]
+        assert wit.word(p).atoms == letters
+        assert wit.word(p).apply(src) == p
     return pts
 
 
@@ -187,7 +181,7 @@ def test_saturated_expansion_matches_reference():
 def test_witness_map_rejects_unheld_points():
     s = ElementStore(4)
     x = s.add(perm(4, (0, 1)))
-    _, wit = cube_set_image(CubeList(s, [Atom(x)]), [0])
+    _, wit = cube_set_image(Word(s, [Atom(x)]), [0])
     assert 2 not in wit and -1 not in wit and 4 not in wit
     for p in (2, -1, 4):
         with pytest.raises(KeyError):
@@ -197,18 +191,18 @@ def test_witness_map_rejects_unheld_points():
 class TestCubeInverseList:
     def test_empty(self):
         s = ElementStore(3)
-        assert cube_inverse_list(CubeList(s)).atoms == ()
+        assert Word(s).inverse_word().atoms == ()
 
     def test_reverses_and_inverts(self, store4):
         s, x, y = store4
-        inv = cube_inverse_list(CubeList(s, [Atom(x), Atom(y)]))
+        inv = Word(s, [Atom(x), Atom(y)]).inverse_word()
         assert inv.atoms == (Atom(y, True), Atom(x, True))
 
     def test_involution_agrees(self):
         s = ElementStore(4)
         x = s.add(perm(4, (0, 1), (2, 3)))
-        inv = cube_inverse_list(CubeList(s, [Atom(x)]))
-        assert Word(s, inv.atoms).eval() == Word(s, [Atom(x)]).eval()
+        inv = Word(s, [Atom(x)]).inverse_word()
+        assert inv.eval() == Word(s, [Atom(x)]).eval()
 
     def test_cube_of_inverse_is_inverse_cube(self, store4):
         s, x, y = store4
@@ -221,13 +215,13 @@ class TestCubeInverseList:
 class TestDeepCubeOrbit:
     def test_empty(self):
         s = ElementStore(4)
-        pts, rmap = deep_cube_orbit(CubeList(s), 0)
+        pts, rmap = deep_cube_orbit(Word(s), 0)
         assert pts == [0] and len(rmap.word(0)) == 0
 
     def test_transposition(self):
         s = ElementStore(2)
         x = s.add(perm(2, (0, 1)))
-        pts, _ = deep_cube_orbit(CubeList(s, [Atom(x)]), 0)
+        pts, _ = deep_cube_orbit(Word(s, [Atom(x)]), 0)
         assert set(pts) == {0, 1}
 
     def test_four_cycle_brute_force(self, store4):
@@ -235,7 +229,7 @@ class TestDeepCubeOrbit:
         s, x, _ = store4
         oracle = {g.apply(0) for g in enumerate_cube([s.perm(x).inverse(), s.perm(x)])}
         assert oracle == {0, 1, 3}
-        pts, rmap = deep_cube_orbit(CubeList(s, [Atom(x)]), 0)
+        pts, rmap = deep_cube_orbit(Word(s, [Atom(x)]), 0)
         assert set(pts) == oracle
         for p in pts:
             w = rmap.word(p)

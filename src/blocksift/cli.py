@@ -140,16 +140,16 @@ def _cmd_sift_trace(args) -> int:
         trace.append(snap)
 
     try:
-        result = build_point_transversal(gens, 0, cap, on_sift=on_sift)
+        state, rmap = build_point_transversal(gens, 0, cap, on_sift=on_sift)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     print(
         json.dumps(
             {
-                "result": result.kind,
-                "orbit": result.orbit,
+                "result": "partial_base" if rmap is None else "transversal",
+                "orbit": None if rmap is None else rmap.points,
                 "trace": trace,
-                "final": result.state.debug_dump(),
+                "final": state.debug_dump(),
             }
         )
     )
@@ -205,14 +205,15 @@ def _cmd_bench(args) -> int:
         raise InputError(f"bad --sizes value: {args.sizes!r}") from exc
     if args.runs < 1:
         raise InputError(f"--runs must be at least 1, not {args.runs}")
+    if not sizes:
+        raise InputError(f"--sizes names no size: {args.sizes!r}")
     family = args.family.lower().replace("-", "_")
+    try:
+        groups = [corpus.build(corpus.parse_spec(f"{family}({size})")) for size in sizes]
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
     print("family,n,|S|,time_ms,sifts,h_updates,sum_Xi")
-    for size in sizes:
-        try:
-            spec = corpus.parse_spec(f"{family}({size})")
-            gens = corpus.build(spec)
-        except ValueError as exc:
-            raise InputError(str(exc)) from exc
+    for gens in groups:
         times = []
         verdict = None
         for _ in range(args.runs):

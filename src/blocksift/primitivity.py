@@ -78,27 +78,25 @@ def _largest_proper_divisor(n: int) -> int:
     return 1
 
 
-def ss_primitivity(gens: GeneratorSet, alpha: int, cap: int) -> Verdict:
-    """Capped primitivity loop: Primitive, Blocks, or PartialBase."""
+def ss_primitivity(gens: GeneratorSet, cap: int) -> Verdict:
+    """Capped primitivity loop at alpha = 0: Primitive, Blocks, or PartialBase.
+
+    Every capped route (point transversal, scoped transversal, H-update
+    sift) leaves the loop for the one partial-base exit at its end.
+    """
     n = gens.degree
     if n < 2:
         raise ValueError("ss_primitivity requires degree at least 2")
-    if not 0 <= alpha < n:
-        raise ValueError("alpha out of range")
     if cap < 1:
         raise ValueError("cap must be at least 1")
     if not is_transitive(gens):
         raise ValueError("ss_primitivity requires a transitive group")
     diag = Diagnostics()
     dmax = _largest_proper_divisor(n)
+    alpha = 0
 
-    tr = build_point_transversal(gens, alpha, cap)
-    state = tr.state
-    if tr.is_partial_base:
-        return _finish(Verdict("partial_base", certificate=tr.certificate), diag, state)
-    rmap = tr.rmap
-
-    while True:
+    state, rmap = build_point_transversal(gens, alpha, cap)
+    while not state.capped:
         hgens = state.deep_element_perms()
         # the candidate is a union of H-orbits: close it one whole H-orbit
         # at a time, unless H is trivial and plain BFS is cheaper
@@ -114,7 +112,6 @@ def ss_primitivity(gens: GeneratorSet, alpha: int, cap: int) -> Verdict:
             (lam for lam in range(n) if 0 < size[lam] < dmax and lam != alpha),
             key=lambda lam: size[lam] * n + lam,
         )
-        restarted = False
         for lam in reps:
             r_word = rmap.word(lam)
             diag.candidates_closed += 1
@@ -126,33 +123,27 @@ def ss_primitivity(gens: GeneratorSet, alpha: int, cap: int) -> Verdict:
             if res.kind == "is_block":
                 return _finish(Verdict("blocks", blocks=res.system), diag, state)
             wit = res.witness
-            scoped = build_scoped_transversal(state, r_word, alpha, cap)
-            if scoped.is_partial_base:
-                return _finish(
-                    Verdict("partial_base", certificate=scoped.certificate), diag, state
-                )
-            s = scoped.rmap.word(wit.beta).eval()
-            t = scoped.rmap.word(wit.gamma).eval()
+            scoped = build_scoped_transversal(state, r_word)
+            if scoped is None:
+                break
+            s = scoped.word(wit.beta).eval()
+            t = scoped.word(wit.gamma).eval()
             g = s * wit.g1 * t.inverse()
             if g.images[alpha] != alpha:
                 raise InternalError("witness product must stabilize alpha")
             before = state.sum_xi(2)
             state.deep_sift(g)
-            if state.level_count > cap:
-                return _finish(
-                    Verdict("partial_base", certificate=state.certificate()),
-                    diag,
-                    state,
-                )
+            if state.capped:
+                break
             after = state.sum_xi(2)
             if after <= before:
                 raise InternalError("H-update must enlarge the deep generator lists")
             diag.h_updates += 1
             diag.h_update_growth.append((before, after))
-            restarted = True
-            break
-        if not restarted:
+            break  # rescan with the enlarged H
+        else:
             return _finish(Verdict("primitive"), diag, state)
+    return _finish(Verdict("partial_base", certificate=state.certificate()), diag, state)
 
 
 def _finish(v: Verdict, diag: Diagnostics, state: SiftState) -> Verdict:
@@ -199,7 +190,7 @@ def _capped_driver(gens: GeneratorSet, cap: int, escape: VerdictKind) -> Verdict
         raise ValueError("cap must be at least 1")
     if gens.degree == 1:
         return Verdict("primitive")
-    v = ss_primitivity(gens, 0, cap)
+    v = ss_primitivity(gens, cap)
     if v.kind != "partial_base":
         return v
     bs = find_blocks_from_certificate(gens, v.certificate)

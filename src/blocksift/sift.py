@@ -104,6 +104,11 @@ class SiftState:
         return len(self.levels)
 
     @property
+    def capped(self) -> bool:
+        """True once the level count has passed the base-size cap."""
+        return len(self.levels) > self.cap
+
+    @property
     def base(self) -> list[int]:
         return [lv.beta for lv in self.levels]
 
@@ -137,7 +142,7 @@ class SiftState:
     def deep_sift(self, g: Permutation) -> SiftOutcome:
         if g.degree != self.n:
             raise ValueError("degree mismatch in deep_sift")
-        if self.level_count > self.cap:
+        if self.capped:
             raise ValueError("base-size cap already reached; caller must stop")
         self.sift_count += 1
         chain: list[tuple[Word, Word]] = []

@@ -10,40 +10,24 @@ first, sharing those levels with the live state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Literal
+from typing import Callable
 
 from .perm import GeneratorSet, Permutation
-from .sift import Certificate, Level, SiftOutcome, SiftState
+from .sift import Level, SiftOutcome, SiftState
 from .words import WitnessMap, Word
-
-
-@dataclass
-class TransversalResult:
-    kind: Literal["transversal", "partial_base"]
-    orbit: list[int] | None  # alpha's orbit in discovery order
-    rmap: WitnessMap | None  # orbit point -> r-word mapping alpha to it
-    certificate: Certificate | None
-    state: SiftState
-
-    @property
-    def is_partial_base(self) -> bool:
-        return self.kind == "partial_base"
 
 
 def _close_transversal(
     state: SiftState,
     gens: list[Permutation],
-    cap: int,
     on_sift: Callable[[SiftState, SiftOutcome], None] | None = None,
-) -> tuple[str, list[int], WitnessMap]:
+) -> WitnessMap | None:
     """Shared queue loop: close the level-1 deep orbit under ``gens``.
 
     Each (orbit point, generator) pair is visited exactly once, in the
     order the points entered the orbit and then generator order, so the
-    queue is the list of points in entry order. Returns ("transversal",
-    orbit, rmap) on closure or ("capped", ..., ...) the moment the level
-    count passes the cap.
+    queue is the list of points in entry order. Returns the r-words on
+    closure, or None the moment the state passes its cap.
     """
     arrays = [g.images for g in gens]
     omega, rmap = state.level_deep_orbit(1)
@@ -59,14 +43,14 @@ def _close_transversal(
             outcome = state.deep_sift(elem)
             if on_sift is not None:
                 on_sift(state, outcome)
-            if state.level_count > cap:
-                return "capped", omega, rmap
+            if state.capped:
+                return None
             omega, rmap = state.level_deep_orbit(1)
             for p in omega:
                 if not in_omega[p]:
                     in_omega[p] = 1
                     queue.append(p)
-    return "transversal", omega, rmap
+    return rmap
 
 
 def build_point_transversal(
@@ -74,52 +58,45 @@ def build_point_transversal(
     alpha: int,
     cap: int,
     on_sift: Callable[[SiftState, SiftOutcome], None] | None = None,
-) -> TransversalResult:
-    """Transversal words for G : G_alpha, or a partial base of size cap+1.
+) -> tuple[SiftState, WitnessMap | None]:
+    """Transversal words for G : G_alpha, or None once the state is capped.
 
-    The orbit covers alpha^G whether or not G is transitive.
+    The r-words cover alpha^G, in discovery order, whether or not G is
+    transitive. A capped state certifies a partial base of size cap+1.
     """
     seed = next((g for g in gens.generators if g.images[alpha] != alpha), None)
     if seed is None:
         raise ValueError("alpha is fixed by every generator")
     state = SiftState.init_state(gens.degree, cap, seed, alpha)
-    status, omega, rmap = _close_transversal(state, gens.generators, cap, on_sift)
-    if status == "capped":
-        return TransversalResult("partial_base", None, None, state.certificate(), state)
-    return TransversalResult("transversal", omega, rmap, None, state)
+    return state, _close_transversal(state, gens.generators, on_sift)
 
 
-def build_scoped_transversal(
-    state: SiftState, r_word: Word, alpha: int, cap: int
-) -> TransversalResult:
+def build_scoped_transversal(state: SiftState, r_word: Word) -> WitnessMap | None:
     """Transversal for K : K_alpha where K = <X_2* elements, r_word>.
 
-    Works on an overlay whose first level is temporarily the single
-    materialized element of ``r_word``; levels below the first are the live
-    levels of ``state`` and any appends or new base levels made there
-    persist. Overlay first-level appends are discarded.
+    Alpha is the first base point of ``state``. Works on an overlay whose
+    first level is temporarily the single materialized element of
+    ``r_word``; levels below the first are the live levels of ``state``
+    and any appends or new base levels made there persist. Overlay
+    first-level appends are discarded. Returns None once ``state`` is
+    capped.
     """
-    if state.level_count > cap:
-        return TransversalResult(
-            "partial_base", None, None, state.certificate(), state
-        )
+    if state.capped:
+        return None
+    alpha = state.levels[0].beta
     if r_word.apply(alpha) == alpha:
         raise ValueError("r-word must move alpha")
     r_elem = r_word.eval()
     overlay_level = Level.seeded(state.store, alpha, state.store.add(r_elem))
     overlay = SiftState(
-        state.n, cap, state.store, [overlay_level] + state.levels[1:]
+        state.n, state.cap, state.store, [overlay_level] + state.levels[1:]
     )
     kgens = [r_elem] + state.deep_element_perms()
     orig_len = len(state.levels)
     try:
-        status, omega, rmap = _close_transversal(overlay, kgens, cap)
+        rmap = _close_transversal(overlay, kgens)
     finally:
         # new base levels opened during the scoped run are globally valid
         state.levels.extend(overlay.levels[orig_len:])
         state.sift_count += overlay.sift_count
-    if status == "capped":
-        return TransversalResult(
-            "partial_base", None, None, state.certificate(), state
-        )
-    return TransversalResult("transversal", omega, rmap, None, state)
+    return rmap

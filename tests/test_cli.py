@@ -213,6 +213,16 @@ class TestBench:
             assert code == 2 and out == ""
             assert err.startswith("error:") and "--runs" in err
 
+    def test_bad_sizes_exit_2_before_any_output(self, capsys, monkeypatch):
+        # every size is checked before the header is printed
+        for sizes in ("8,1", "", ","):
+            code, out, err = run(
+                capsys, monkeypatch,
+                ["bench", "--family", "dihedral", "--sizes", sizes, "--runs", "1"],
+            )
+            assert code == 2 and out == "", sizes
+            assert err.startswith("error:"), sizes
+
 
 def test_no_subcommand_is_usage_error(capsys, monkeypatch):
     assert run(capsys, monkeypatch, [])[0] == 2

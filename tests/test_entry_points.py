@@ -78,7 +78,7 @@ def test_transitivity_checked_once_per_decision(monkeypatch):
 def test_cap_blocks_from_certificate_match_the_library(capsys, monkeypatch):
     # cap 1 stops the loop with a partial base; the certificate yields blocks
     gens = build(parse_spec("wreath(symmetric(3),3)"))
-    assert ss_primitivity(gens, 0, 1).kind == "partial_base"
+    assert ss_primitivity(gens, 1).kind == "partial_base"
     lib = _capped_driver(gens, 1, "partial_base")
     assert lib.kind == "blocks" and validate_block_system(gens, lib.blocks)
     code, out, _ = run_cli(capsys, monkeypatch, ["primitive", "--cap", "1"], gens)
@@ -171,7 +171,7 @@ def test_state_validation_survives_python_dash_o():
         from blocksift.transversal import build_point_transversal
 
         assert False, "assert statements must be stripped"
-        state = build_point_transversal(build(parse_spec("dihedral(16)")), 0, 20).state
+        state, _ = build_point_transversal(build(parse_spec("dihedral(16)")), 0, 20)
         state.validate()
         level = state.levels[0]
         level.elems.append(level.elems[-1])  # X_1 holds one element twice

@@ -129,10 +129,12 @@ def test_tracer_patch_points_exist():
     tracer = tracing.Tracer(bs)
     with tracer.traced():
         verdict = primitivity.primitivity_main(gens)
-    assert verdict.kind == "primitive"
+    # two H-updates run, so both transversal kinds are built
+    assert verdict.kind == "primitive" and verdict.diagnostics.h_updates == 2
     names = {s[0] for s in tracer.spans}
     assert {
         "primitivity.ss_primitivity", "sift.deep_sift",
         "words.deep_cube_orbit", "primitivity.candidate_bfs",
+        "transversal.point", "transversal.scoped",
     } <= names
     assert primitivity.orbit is orbit and words.Word.apply is apply

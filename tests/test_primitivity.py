@@ -29,15 +29,15 @@ S4 = GeneratorSet(4, [perm(4, (0, 1, 2, 3)), perm(4, (0, 1))])
 
 class TestSSPrimitivity:
     def test_a5_primitive(self):
-        assert ss_primitivity(A5, 0, 35).kind == "primitive"
+        assert ss_primitivity(A5, 35).kind == "primitive"
 
     def test_c6_blocks(self):
-        v = ss_primitivity(C6, 0, 20)
+        v = ss_primitivity(C6, 20)
         assert v.kind == "blocks"
         assert v.blocks.nontrivial and validate_block_system(C6, v.blocks)
 
     def test_s3_cap_one_partial_base(self):
-        v = ss_primitivity(S3, 0, 1)
+        v = ss_primitivity(S3, 1)
         assert v.kind == "partial_base"
         assert [g for _, g in v.certificate.entries] == [
             perm(3, (0, 1)),
@@ -46,15 +46,13 @@ class TestSSPrimitivity:
 
     def test_argument_errors(self):
         with pytest.raises(ValueError):
-            ss_primitivity(GeneratorSet(3, [perm(3, (0, 1))]), 0, 5)  # intransitive
+            ss_primitivity(GeneratorSet(3, [perm(3, (0, 1))]), 5)  # intransitive
         with pytest.raises(ValueError):
-            ss_primitivity(A5, 7, 5)  # alpha out of range
-        with pytest.raises(ValueError):
-            ss_primitivity(GeneratorSet(1, [perm(1)]), 0, 5)  # degenerate
+            ss_primitivity(GeneratorSet(1, [perm(1)]), 5)  # degenerate
 
     def test_primitive_implies_all_minimal_blocks_full(self):
         for gens in (A5, S4, S3):
-            assert ss_primitivity(gens, 0, gens.degree).kind == "primitive"
+            assert ss_primitivity(gens, gens.degree).kind == "primitive"
             for lam in range(1, gens.degree):
                 assert minimal_block(gens, {0, lam}) == set(range(gens.degree))
 
@@ -132,12 +130,80 @@ class TestUncapped:
 class TestForcedCapFallback:
     def test_tiny_cap_on_wreath_recovers_blocks(self):
         gens = build(parse_spec("wreath(alternating(64),2)"))
-        v = ss_primitivity(gens, 0, 2)
+        v = ss_primitivity(gens, 2)
         assert v.kind == "partial_base"
         assert len(v.certificate) == 3
         bs = find_blocks_from_certificate(gens, v.certificate)
         assert bs is not None and validate_block_system(gens, bs)
         assert bs.num_blocks == 2 and bs.block_size == 64
+
+
+def _route_and_verdict(monkeypatch, gens, cap):
+    """ss_primitivity at ``cap``, with the route that capped the state:
+    the point transversal, a scoped transversal, or else an H-update sift."""
+    routes = []
+    real_point = primitivity.build_point_transversal
+    real_scoped = primitivity.build_scoped_transversal
+
+    def point(*args):
+        state, rmap = real_point(*args)
+        if rmap is None:
+            routes.append("point")
+        return state, rmap
+
+    def scoped(*args):
+        rmap = real_scoped(*args)
+        if rmap is None:
+            routes.append("scoped")
+        return rmap
+
+    monkeypatch.setattr(primitivity, "build_point_transversal", point)
+    monkeypatch.setattr(primitivity, "build_scoped_transversal", scoped)
+    v = ss_primitivity(gens, cap)
+    return (routes or ["h_update"])[0], v
+
+
+class TestPartialBaseExit:
+    # Every capped route leaves the loop for the one partial-base exit. The
+    # relabelling seeds are the first in 0..399 under which a scoped
+    # transversal passes the cap. The expected diagnostics were recorded
+    # from the driver that returned from each route separately.
+
+    @pytest.mark.parametrize(
+        "make,cap,route,base,diag",
+        [
+            pytest.param(
+                lambda: S3, 1, "point", [0, 1],
+                (1, 0, 0, 0, 2, []), id="S3-point",
+            ),
+            pytest.param(
+                lambda: build(parse_spec("subsets(6,2)")), 3, "h_update", [0, 1, 6, 3],
+                (4, 0, 1, 1, 5, []), id="subsets(6,2)-h_update",
+            ),
+            pytest.param(
+                lambda: relabel(build(parse_spec("subsets(9,3)")), random.Random(3)),
+                2, "scoped", [0, 1, 2],
+                (7, 0, 2, 1, 8, []), id="subsets(9,3)-3-scoped",
+            ),
+            pytest.param(
+                lambda: relabel(build(parse_spec("subsets(12,2)")), random.Random(9)),
+                3, "scoped", [0, 2, 9, 15],
+                (9, 1, 4, 2, 8, [[2, 3]]), id="subsets(12,2)-9-scoped",
+            ),
+        ],
+    )
+    def test_route_ends_in_certified_partial_base(
+        self, monkeypatch, make, cap, route, base, diag
+    ):
+        gens = make()
+        got, v = _route_and_verdict(monkeypatch, gens, cap)
+        assert got == route
+        assert v.kind == "partial_base" and v.blocks is None
+        assert len(v.certificate) == cap + 1 and v.certificate.validate()
+        assert [beta for beta, _ in v.certificate.entries] == base
+        keys = ("sifts", "h_updates", "candidates_closed", "candidates_tested",
+                "sum_xi", "h_update_growth")
+        assert v.diagnostics.as_dict() == dict(zip(keys, diag))
 
 
 class TestDiagnostics:
@@ -267,14 +333,14 @@ class TestCandidateSizeBound:
             transversals.clear()
             scans.clear()
             assert driver(gens).kind == "primitive"
-            (tr,) = transversals
-            alpha = tr.orbit[0]
+            ((_, rmap),) = transversals
+            alpha = rmap.points[0]
             for hgens, horbits in scans:
                 for lam in range(n):
                     # size is 0 off the least point of each H-orbit
                     if lam != alpha and horbits.size[lam] >= dmax:
                         assert minimal_block(gens, [alpha, lam]) == omega
-                        full = orbit(hgens + [tr.rmap.word(lam)], alpha)
+                        full = orbit(hgens + [rmap.word(lam)], alpha)
                         skipped.append(("dropped", len(full)))
         assert routes <= {route for route, size in skipped if size < n}
 
@@ -306,10 +372,10 @@ def test_cell_closure_matches_plain_closure(data):
     gens = relabel(build(parse_spec(spec)), rng, data.draw(st.integers(0, 1)))
     n = gens.degree
     alpha = data.draw(st.integers(0, n - 1))
-    tr = build_point_transversal(gens, alpha, n)
-    hgens = tr.state.deep_element_perms()
+    state, rmap = build_point_transversal(gens, alpha, n)
+    hgens = state.deep_element_perms()
     cells = Orbits(n, hgens)
-    r = tr.rmap.word(data.draw(st.sampled_from(tr.orbit)))
+    r = rmap.word(data.draw(st.sampled_from(rmap.points)))
     start = data.draw(st.sampled_from([alpha, rng.randrange(n)]))
     limit = data.draw(st.integers(1, n))
     full = orbit(hgens + [r], start)

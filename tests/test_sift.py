@@ -205,7 +205,7 @@ def test_stored_elements_pass_checked_construction(full_corpus, monkeypatch):
 
     def capture(*args, **kwargs):
         res = build_point_transversal(*args, **kwargs)
-        states.append(res.state)
+        states.append(res[0])
         return res
 
     monkeypatch.setattr(primitivity, "build_point_transversal", capture)

@@ -13,27 +13,27 @@ from conftest import perm, random_element
 class TestBuildPointTransversal:
     def test_cyclic_four(self):
         gens = GeneratorSet(4, [perm(4, (0, 1, 2, 3))])
-        res = build_point_transversal(gens, 0, 4)
-        assert res.kind == "transversal"
-        assert set(res.orbit) == {0, 1, 2, 3}
-        assert res.state.sum_xi() <= 2  # log2 |C4|
+        state, rmap = build_point_transversal(gens, 0, 4)
+        assert rmap is not None
+        assert set(rmap.points) == {0, 1, 2, 3}
+        assert state.sum_xi() <= 2  # log2 |C4|
 
     def test_s3_hits_cap(self):
         gens = GeneratorSet(3, [perm(3, (0, 1)), perm(3, (1, 2))])
-        res = build_point_transversal(gens, 0, 1)
-        assert res.is_partial_base
-        assert res.state.base == [0, 1]
-        assert res.certificate.entries == [
+        state, rmap = build_point_transversal(gens, 0, 1)
+        assert rmap is None
+        assert state.base == [0, 1]
+        assert state.certificate().entries == [
             (0, perm(3, (0, 1))),
             (1, perm(3, (1, 2))),
         ]
 
     def test_regular_klein_group_stays_flat(self):
         gens = GeneratorSet(4, [perm(4, (0, 1), (2, 3)), perm(4, (0, 2), (1, 3))])
-        res = build_point_transversal(gens, 0, 1)
-        assert res.kind == "transversal"
-        assert res.state.level_count == 1
-        assert set(res.orbit) == {0, 1, 2, 3}
+        state, rmap = build_point_transversal(gens, 0, 1)
+        assert rmap is not None
+        assert state.level_count == 1
+        assert set(rmap.points) == {0, 1, 2, 3}
 
     def test_alpha_fixed_by_all(self):
         gens = GeneratorSet(3, [perm(3, (1, 2))])
@@ -42,15 +42,15 @@ class TestBuildPointTransversal:
 
     def test_intransitive_covers_orbit_only(self):
         gens = GeneratorSet(5, [perm(5, (0, 1)), perm(5, (3, 4))])
-        res = build_point_transversal(gens, 0, 5)
-        assert res.kind == "transversal"
-        assert set(res.orbit) == {0, 1}
+        _, rmap = build_point_transversal(gens, 0, 5)
+        assert rmap is not None
+        assert set(rmap.points) == {0, 1}
 
     def test_rwords_form_transversal(self):
         gens = GeneratorSet(6, [perm(6, (0, 1, 2, 3, 4, 5)), perm(6, (1, 5), (2, 4))])
-        res = build_point_transversal(gens, 0, 6)
-        images = {res.rmap.word(p).eval().apply(0) for p in res.orbit}
-        assert images == set(res.orbit)  # one representative per orbit point
+        _, rmap = build_point_transversal(gens, 0, 6)
+        images = {rmap.word(p).eval().apply(0) for p in rmap.points}
+        assert images == set(rmap.points)  # one representative per orbit point
 
 
 class TestBuildScopedTransversal:
@@ -60,32 +60,34 @@ class TestBuildScopedTransversal:
     def test_single_cycle_closure(self):
         state = self._seeded_state(4, perm(4, (0, 1, 2, 3)))
         pts, rmap = state.level_deep_orbit(1)
-        res = build_scoped_transversal(state, rmap.word(1), 0, 4)
-        assert res.kind == "transversal"
-        assert set(res.orbit) == {0, 1, 2, 3}
+        scoped = build_scoped_transversal(state, rmap.word(1))
+        assert scoped is not None
+        assert set(scoped.points) == {0, 1, 2, 3}
 
     def test_involution_orbit(self):
         state = self._seeded_state(4, perm(4, (0, 1)))
         _, rmap = state.level_deep_orbit(1)
-        res = build_scoped_transversal(state, rmap.word(1), 0, 4)
-        assert set(res.orbit) == {0, 1}
+        scoped = build_scoped_transversal(state, rmap.word(1))
+        assert set(scoped.points) == {0, 1}
 
     def test_cap_already_reached(self):
         state = SiftState.init_state(3, 1, perm(3, (0, 1)), 0)
         state.deep_sift(perm(3, (1, 2)))  # level count -> 2 = cap + 1
+        assert state.capped
         _, rmap = state.level_deep_orbit(1)
-        res = build_scoped_transversal(state, rmap.word(1), 0, 1)
-        assert res.is_partial_base
-        assert len(res.certificate) == 2
+        stored = len(state.store)
+        assert build_scoped_transversal(state, rmap.word(1)) is None
+        # the cap is checked before the r-word is stored
+        assert len(state.store) == stored
+        assert len(state.certificate()) == 2
 
     def test_overlay_level_discarded_deep_appends_kept(self):
         gens = GeneratorSet(4, [perm(4, (0, 1, 2, 3)), perm(4, (1, 3))])
-        res = build_point_transversal(gens, 0, 4)
-        state = res.state
+        state, rmap = build_point_transversal(gens, 0, 4)
         x1_before = list(state.levels[0].elems)
         store = state.store
-        scoped = build_scoped_transversal(state, res.rmap.word(2), 0, 4)
-        assert scoped.kind == "transversal"
+        scoped = build_scoped_transversal(state, rmap.word(2))
+        assert scoped is not None
         assert state.levels[0].elems == x1_before  # level-1 overlay discarded
         for lv in state.levels[1:]:  # any deep appends are valid elements
             for idx in lv.elems:
@@ -95,7 +97,7 @@ class TestBuildScopedTransversal:
     def test_fixed_rword_rejected(self):
         state = self._seeded_state(4, perm(4, (0, 1, 2, 3)))
         with pytest.raises(ValueError):
-            build_scoped_transversal(state, Word(state.store), 0, 4)
+            build_scoped_transversal(state, Word(state.store))
 
 
 KNOWN_ORDER_GROUPS = [
@@ -111,14 +113,14 @@ KNOWN_ORDER_GROUPS = [
     "name,gens,order", KNOWN_ORDER_GROUPS, ids=[g[0] for g in KNOWN_ORDER_GROUPS]
 )
 def test_word_length_accounting(name, gens, order):
-    res = build_point_transversal(gens, 0, gens.degree)
-    assert res.kind == "transversal"
-    total = res.state.sum_xi()
+    state, rmap = build_point_transversal(gens, 0, gens.degree)
+    assert rmap is not None
+    total = state.sum_xi()
     assert total <= math.ceil(math.log2(order))
     n = gens.degree
-    assert total <= res.state.level_count * max(1, math.ceil(math.log2(n)))
-    for p in res.orbit:
-        w = res.rmap.word(p)
+    assert total <= state.level_count * max(1, math.ceil(math.log2(n)))
+    for p in rmap.points:
+        w = rmap.word(p)
         assert len(w) <= 2 * total
         assert w.apply(0) == p
 
@@ -126,8 +128,8 @@ def test_word_length_accounting(name, gens, order):
 def test_certified_base_lower_bound():
     # |B| >= sum |X_i| / ceil(log2 n) at termination
     gens = GeneratorSet(8, [perm(8, tuple(range(8))), perm(8, (1, 7), (2, 6), (3, 5))])
-    res = build_point_transversal(gens, 0, 8)
-    assert res.state.level_count >= res.state.sum_xi() / math.ceil(math.log2(8))
+    state, _ = build_point_transversal(gens, 0, 8)
+    assert state.level_count >= state.sum_xi() / math.ceil(math.log2(8))
 
 
 def test_queue_pairs_become_closed():
@@ -139,9 +141,9 @@ def test_queue_pairs_become_closed():
         )
         extra = random_element(base, rng)
         gens = GeneratorSet(6, base.generators + ([extra] if not extra.is_identity() else []))
-        res = build_point_transversal(gens, 0, 6)
-        assert res.kind == "transversal"
-        oset = set(res.orbit)
+        _, rmap = build_point_transversal(gens, 0, 6)
+        assert rmap is not None
+        oset = set(rmap.points)
         assert oset == set(orbit(gens.generators, 0))
         for s in gens.generators:
             assert {s.images[p] for p in oset} == oset

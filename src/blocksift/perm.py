@@ -7,7 +7,6 @@ rely on this right-action order.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Sequence
@@ -213,23 +212,20 @@ def orbit(
     """Closure of {start} under point-action providers, in discovery order.
 
     A provider is anything with an ``apply(p) -> point`` method (a
-    Permutation or a Word). Without ``cells`` this is a BFS: ``start``
-    comes first, and the order is deterministic given provider order.
-    With ``cells``, the orbits of a group K, the result is the closure
-    under K and the providers together, reached one whole cell at a time:
-    a newly reached point brings in its cell, listed least point first,
-    and only the providers are applied to each point. With ``limit``, the
-    search stops as soon as it holds more than ``limit`` points (with
-    cells, before walking the cell that passed it) and returns what it
-    holds, so a result longer than ``limit`` is not the whole orbit.
+    Permutation or a Word). Without ``cells`` this is a breadth-first walk
+    of the growing output list: ``start`` comes first, and the order is
+    deterministic given provider order. With ``cells``, the orbits of a
+    group K, the result is the closure under K and the providers together,
+    reached one whole cell at a time: a newly reached point brings in its
+    cell, listed least point first, and only the providers are applied to
+    each point. With ``limit``, the search stops as soon as it holds more
+    than ``limit`` points (with cells, before walking the cell that passed
+    it) and returns what it holds, so a result longer than ``limit`` is not
+    the whole orbit.
     """
-    appliers = []
+    actions = list(actions)
     degree = None if cells is None else cells.degree
     for a in actions:
-        if isinstance(a, Permutation):
-            appliers.append(a.images.__getitem__)
-        else:
-            appliers.append(a.apply)
         if degree is None:
             degree = a.degree
         elif a.degree != degree:
@@ -242,14 +238,25 @@ def orbit(
         limit = degree  # an orbit never exceeds the degree
     elif limit < 1:
         raise ValueError("limit must be at least 1")
+    appliers = [a.apply for a in actions]
     if cells is not None:
         return _cell_closure(appliers, start, limit, cells)
     seen = bytearray(degree)
     seen[start] = 1
     out = [start]
-    queue = deque((start,))
-    while queue:
-        p = queue.popleft()
+    if all(isinstance(a, Permutation) for a in actions):
+        # index the image arrays: no call per step
+        arrays = [a.images for a in actions]
+        for p in out:  # grows while it is walked
+            for arr in arrays:
+                q = arr[p]
+                if not seen[q]:
+                    seen[q] = 1
+                    out.append(q)
+                    if len(out) > limit:
+                        return out
+        return out
+    for p in out:  # grows while it is walked
         for f in appliers:
             q = f(p)
             if not seen[q]:
@@ -257,7 +264,6 @@ def orbit(
                 out.append(q)
                 if len(out) > limit:
                     return out
-                queue.append(q)
     return out
 
 

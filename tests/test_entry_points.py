@@ -21,13 +21,16 @@ from blocksift.ioformats import emit_generators
 from blocksift.perm import GeneratorSet
 from blocksift.primitivity import (
     _capped_driver,
+    find_blocks_from_certificate,
     primitivity_main,
     primitivity_subquadratic,
     ss_primitivity,
     ss_uncapped,
 )
-from blocksift.sift import SiftState
+from blocksift.sift import Certificate, SiftState
 from conftest import perm
+
+DRIVERS = (primitivity_main, primitivity_subquadratic, ss_uncapped)
 
 # (0 1)(2 3): two orbits of size 2
 INTRANSITIVE = GeneratorSet(4, [perm(4, (0, 1), (2, 3))])
@@ -58,9 +61,9 @@ def test_intransitive_exits_2_in_the_cli(capsys, monkeypatch, argv):
     assert code == 2 and out == "" and "transitive" in err
 
 
-def test_transitivity_checked_once_per_decision(monkeypatch):
-    # wreath(symmetric(4),2) runs two blockness tests and an H-update
-    gens = build(parse_spec("wreath(symmetric(4),2)"))
+def count_transitivity_checks(monkeypatch) -> list:
+    """Record every ``is_transitive`` call made by the drivers and by
+    ``blocks``."""
     calls = []
     real = primitivity.is_transitive
 
@@ -70,9 +73,56 @@ def test_transitivity_checked_once_per_decision(monkeypatch):
 
     monkeypatch.setattr(primitivity, "is_transitive", counted)
     monkeypatch.setattr(blocks, "is_transitive", counted)
+    return calls
+
+
+def test_transitivity_checked_once_per_decision(monkeypatch):
+    # wreath(symmetric(4),2) runs two blockness tests and an H-update
+    gens = build(parse_spec("wreath(symmetric(4),2)"))
+    calls = count_transitivity_checks(monkeypatch)
     v = primitivity_main(gens)
     assert v.kind == "blocks" and v.diagnostics.candidates_tested == 2
     assert len(calls) == 1
+
+
+def test_certificate_fallback_checks_transitivity_once(monkeypatch):
+    # cap 3 ends in a partial base of 4 entries, none of which seeds a
+    # proper block: one check in the driver, one for the whole fallback
+    gens = build(parse_spec("subsets(30,2)"))
+    calls = count_transitivity_checks(monkeypatch)
+    v = _capped_driver(gens, 3, "partial_base")
+    assert v.kind == "partial_base" and len(v.certificate) == 4
+    assert len(calls) == 2
+
+
+def test_certificate_fallback_rejects_intransitive_before_block_work(monkeypatch):
+    work = []
+    monkeypatch.setattr(primitivity, "minimal_block", lambda *a: work.append(a))
+    monkeypatch.setattr(primitivity, "blockness_test", lambda *a: work.append(a))
+    cert = Certificate([(0, perm(4, (0, 1), (2, 3)))])
+    assert cert.validate()
+    with pytest.raises(ValueError, match="transitive"):
+        find_blocks_from_certificate(INTRANSITIVE, cert)
+    assert work == []
+
+
+# (0 1 2 3 4 5 6) on 11 points: prime degree, four fixed points
+PRIME_INTRANSITIVE = GeneratorSet(11, [perm(11, (0, 1, 2, 3, 4, 5, 6))])
+
+
+def test_intransitive_prime_degree_still_rejected(capsys, monkeypatch):
+    for driver in DRIVERS:
+        with pytest.raises(ValueError, match="transitive"):
+            driver(PRIME_INTRANSITIVE)
+    for cap in (1, 2, 3):
+        with pytest.raises(ValueError, match="transitive"):
+            ss_primitivity(PRIME_INTRANSITIVE, cap)
+    for argv in (
+        ["primitive"], ["primitive", "--uncapped"], ["primitive", "--law", "five-thirds"],
+        ["primitive", "--cap", "1"], ["primitive", "--cap", "2"], ["primitive", "--cap", "3"],
+    ):
+        code, out, err = run_cli(capsys, monkeypatch, argv, PRIME_INTRANSITIVE)
+        assert code == 2 and out == "" and "transitive" in err, argv
 
 
 def test_cap_blocks_from_certificate_match_the_library(capsys, monkeypatch):
@@ -90,11 +140,16 @@ def test_cap_blocks_from_certificate_match_the_library(capsys, monkeypatch):
 
 
 def test_cap_without_blocks_answers_partial_base(capsys, monkeypatch):
-    s3 = GeneratorSet(3, [perm(3, (0, 1)), perm(3, (1, 2))])
-    code, out, _ = run_cli(capsys, monkeypatch, ["primitive", "--cap", "1"], s3)
+    s4 = build(parse_spec("symmetric(4)"))
+    code, out, _ = run_cli(capsys, monkeypatch, ["primitive", "--cap", "1"], s4)
     doc = json.loads(out)
     assert code == 0 and doc["verdict"] == "partial_base"
     assert [e["point"] for e in doc["certificate"]] == [0, 1]
+    # at prime degree the answer comes before any base is built
+    s3 = GeneratorSet(3, [perm(3, (0, 1)), perm(3, (1, 2))])
+    code, out, _ = run_cli(capsys, monkeypatch, ["primitive", "--cap", "1"], s3)
+    doc = json.loads(out)
+    assert code == 0 and doc["verdict"] == "primitive" and doc["certificate"] is None
 
 
 # subsets(5,2) is primitive after one H-update

@@ -135,6 +135,8 @@ def test_tracer_patch_points_exist():
     assert {
         "primitivity.ss_primitivity", "sift.deep_sift",
         "words.deep_cube_orbit", "primitivity.candidate_bfs",
-        "transversal.point", "transversal.scoped",
+        "transversal.point", "transversal.scoped", "perm.is_transitive",
     } <= names
     assert primitivity.orbit is orbit and words.Word.apply is apply
+    assert primitivity.is_transitive is perm.is_transitive
+    assert blocks.is_transitive is perm.is_transitive

@@ -1,3 +1,5 @@
+from collections import deque
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -110,6 +112,54 @@ class TestOrbitLimit:
     def test_limit_below_one_rejected(self):
         with pytest.raises(ValueError):
             orbit([perm(3, (0, 1, 2))], 0, 0)
+
+
+def reference_orbit(actions, start, limit=None):
+    """Closure of {start} by a deque BFS over ``apply``: the reference
+    visiting order and ``limit`` cut for ``orbit``."""
+    limit = actions[0].degree if limit is None else limit
+    seen, out, queue = {start}, [start], deque([start])
+    while queue:
+        p = queue.popleft()
+        for a in actions:
+            q = a.apply(p)
+            if q not in seen:
+                seen.add(q)
+                out.append(q)
+                if len(out) > limit:
+                    return out
+                queue.append(q)
+    return out
+
+
+@st.composite
+def mixed_providers(draw):
+    """1-4 providers of one degree, each a Permutation or a Word over a
+    store of 1-3 permutations; a few fixed points make intransitive sets
+    common."""
+    n = draw(st.integers(1, 10))
+    perms = st.permutations(list(range(n))).map(Permutation)
+    store = ElementStore(n)
+    for _ in range(draw(st.integers(1, 3))):
+        store.add(draw(perms))
+    atoms = st.builds(Atom, st.integers(0, len(store) - 1), st.booleans())
+    words = st.lists(atoms, max_size=4).map(lambda a: Word(store, a))
+    actions = draw(st.lists(st.one_of(perms, words), min_size=1, max_size=4))
+    return n, actions
+
+
+class TestOrbitWalk:
+    @given(mixed_providers(), st.data())
+    def test_matches_the_deque_reference(self, case, data):
+        n, actions = case
+        start = data.draw(st.integers(0, n - 1))
+        limit = data.draw(st.one_of(st.none(), st.integers(1, n)))
+        assert orbit(actions, start, limit) == reference_orbit(actions, start, limit)
+        # the image arrays of the same group, walked without calls
+        perms = [a if isinstance(a, Permutation) else a.eval() for a in actions]
+        assert orbit(perms, start, limit) == reference_orbit(actions, start, limit)
+        gens = GeneratorSet(n, perms)
+        assert is_transitive(gens) == (len(reference_orbit(perms, 0)) == n)
 
 
 class TestOrbits:

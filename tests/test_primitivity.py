@@ -1,13 +1,18 @@
+import io
+import json
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from blocksift.blocks import atkinson_baseline, minimal_block, validate_block_system
+from blocksift.cli import cli_main
 from blocksift.corpus import build, parse_spec, spec_order
+from blocksift.ioformats import emit_generators
 from blocksift import primitivity
 from blocksift.perm import GeneratorSet, Orbits, orbit
 from blocksift.primitivity import (
+    Diagnostics,
     find_blocks_from_certificate,
     primitivity_main,
     primitivity_subquadratic,
@@ -36,13 +41,13 @@ class TestSSPrimitivity:
         assert v.kind == "blocks"
         assert v.blocks.nontrivial and validate_block_system(C6, v.blocks)
 
-    def test_s3_cap_one_partial_base(self):
-        v = ss_primitivity(S3, 1)
+    def test_s4_cap_one_partial_base(self):
+        v = ss_primitivity(build(parse_spec("symmetric(4)")), 1)
         assert v.kind == "partial_base"
-        assert [g for _, g in v.certificate.entries] == [
-            perm(3, (0, 1)),
-            perm(3, (1, 2)),
-        ]
+        assert v.certificate.entries == [(0, perm(4, (0, 1))), (1, perm(4, (1, 2, 3)))]
+        # at prime degree no base is built: the cap cannot be reached
+        v = ss_primitivity(S3, 1)
+        assert v.kind == "primitive" and v.certificate is None
 
     def test_argument_errors(self):
         with pytest.raises(ValueError):
@@ -76,6 +81,16 @@ class TestFindBlocksFromCertificate:
         bad = Certificate([(0, perm(3, (1, 2)))])  # entry fixes its point
         with pytest.raises(ValueError):
             find_blocks_from_certificate(S3, bad)
+
+    def test_entries_off_the_points_rejected(self):
+        # the seed pairs are closed unchecked, so the entries are checked
+        # against the degree first
+        for bad in (
+            Certificate([(0, perm(4, (0, 1)))]),  # another degree
+            Certificate([(-1, perm(3, (0, 2)))]),  # would index from the end
+        ):
+            with pytest.raises(ValueError, match="does not act"):
+                find_blocks_from_certificate(S3, bad)
 
 
 class TestCappedDrivers:
@@ -173,8 +188,8 @@ class TestPartialBaseExit:
         "make,cap,route,base,diag",
         [
             pytest.param(
-                lambda: S3, 1, "point", [0, 1],
-                (1, 0, 0, 0, 2, []), id="S3-point",
+                lambda: build(parse_spec("symmetric(4)")), 1, "point", [0, 1],
+                (1, 0, 0, 0, 2, []), id="S4-point",
             ),
             pytest.param(
                 lambda: build(parse_spec("subsets(6,2)")), 3, "h_update", [0, 1, 6, 3],
@@ -204,6 +219,11 @@ class TestPartialBaseExit:
         keys = ("sifts", "h_updates", "candidates_closed", "candidates_tested",
                 "sum_xi", "h_update_growth")
         assert v.diagnostics.as_dict() == dict(zip(keys, diag))
+
+    def test_prime_degree_never_reaches_the_exit(self):
+        # no base is built at prime degree, so no capped route exists
+        v = ss_primitivity(S3, 1)
+        assert v.kind == "primitive" and v.certificate is None
 
 
 class TestDiagnostics:
@@ -240,22 +260,34 @@ class TestCandidateSizeBound:
     # skipped unclosed; these groups run on both sides of that bound.
 
     @pytest.mark.parametrize("extra", [0, 2])
-    @pytest.mark.parametrize("p", [3, 5, 7, 13, 31, 61, 127, 257])
-    @pytest.mark.parametrize("family", ["cyclic", "dihedral"])
-    def test_prime_degree_primitive_without_blockness_tests(self, monkeypatch, family, p, extra):
+    @pytest.mark.parametrize("p", [3, 5, 7, 13, 31, 61, 127, 257, 397])
+    @pytest.mark.parametrize("family", ["cyclic", "dihedral", "symmetric", "alternating"])
+    def test_prime_degree_primitive_without_blockness_tests(
+        self, capsys, monkeypatch, family, p, extra
+    ):
         gens = relabel(build(parse_spec(f"{family}({p})")), random.Random(p + extra), extra)
         assert atkinson_baseline(gens) is None
-        for driver in DRIVERS:
-            assert driver(gens).kind == "primitive", driver.__name__
-        # n/p = 1 and every H-orbit holds at least one point, so the size
-        # filter alone empties the scan: no candidate is closed
-        closures = []
+        # n/p = 1, so the size filter would empty the scan whatever H is:
+        # every entry point answers before the point transversal, and a
+        # cap, however small, is never reached
+        built, closures = [], []
+        real = primitivity.build_point_transversal
+        monkeypatch.setattr(
+            primitivity, "build_point_transversal", lambda *a: built.append(a) or real(*a)
+        )
         monkeypatch.setattr(
             primitivity, "orbit", lambda *args: closures.append(args) or orbit(*args)
         )
-        d = primitivity_main(gens).diagnostics
-        assert d.candidates_closed == 0 and d.candidates_tested == 0
-        assert closures == []
+        for driver in DRIVERS:
+            v = driver(gens)
+            assert v.kind == "primitive" and v.certificate is None, driver.__name__
+            assert v.diagnostics.as_dict() == Diagnostics().as_dict(), driver.__name__
+        for cap in ("1", "2", "3"):
+            monkeypatch.setattr("sys.stdin", io.StringIO(emit_generators(gens)))
+            assert cli_main(["primitive", "--cap", cap]) == 0
+            doc = json.loads(capsys.readouterr().out)
+            assert doc["verdict"] == "primitive" and doc["certificate"] is None, cap
+        assert built == [] and closures == []
 
     @pytest.mark.parametrize("extra", [0, 2])
     @pytest.mark.parametrize(

@@ -241,9 +241,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("primitive", help="run the capped primitivity driver")
     add_input(p)
-    p.add_argument("--law", choices=["main", "five-thirds"], default="main")
-    p.add_argument("--cap", type=int, default=None, help="override the base-size cap L")
-    p.add_argument("--uncapped", action="store_true", help="run with cap n (always decides)")
+    # one cap selector at most: a conflict is a usage error (exit 2)
+    cap_choice = p.add_mutually_exclusive_group()
+    cap_choice.add_argument("--law", choices=["main", "five-thirds"], default=None,
+                            help="cap law (default main)")
+    cap_choice.add_argument("--cap", type=int, default=None, help="override the base-size cap L")
+    cap_choice.add_argument("--uncapped", action="store_true",
+                            help="run with cap n (always decides)")
 
     p = sub.add_parser("baseline", help="run the quadratic baseline test")
     add_input(p)

@@ -10,8 +10,11 @@ line. Repeating a point within one generator expression is a parse error.
 from __future__ import annotations
 
 import json
+import sys
 
 from .perm import GeneratorSet, Permutation
+
+_MAX_DIGITS = len(str(sys.maxsize))
 
 
 class ParseError(ValueError):
@@ -58,12 +61,19 @@ class _Scanner:
         return ParseError(message, self.line, self.col)
 
     def read_int(self) -> int:
+        """A decimal integer; each is a degree or a point, so one above
+        sys.maxsize (no list can be that long) is an error at its start.
+        Digit count is tested first: int() refuses over 4300 digits."""
         if not self.peek().isdigit():
             raise self.error("expected an integer")
+        line, col = self.line, self.col
         digits = []
         while self.peek().isdigit():
             digits.append(self.advance())
-        return int("".join(digits))
+        text = "".join(digits).lstrip("0") or "0"
+        if len(text) > _MAX_DIGITS or int(text) > sys.maxsize:
+            raise ParseError("integer larger than sys.maxsize", line, col)
+        return int(text)
 
 
 def _parse_cycles(text: str) -> GeneratorSet:

@@ -207,29 +207,29 @@ class Orbits:
 
 
 def orbit(
-    actions, start: int, limit: int | None = None, cells: Orbits | None = None
+    perms: Sequence[Permutation],
+    start: int,
+    limit: int | None = None,
+    cells: Orbits | None = None,
 ) -> list[int]:
-    """Closure of {start} under point-action providers, in discovery order.
+    """Closure of {start} under permutations, in discovery order.
 
-    A provider is anything with an ``apply(p) -> point`` method (a
-    Permutation or a Word). Without ``cells`` this is a breadth-first walk
-    of the growing output list: ``start`` comes first, and the order is
-    deterministic given provider order. With ``cells``, the orbits of a
-    group K, the result is the closure under K and the providers together,
-    reached one whole cell at a time: a newly reached point brings in its
-    cell, listed least point first, and only the providers are applied to
-    each point. With ``limit``, the search stops as soon as it holds more
-    than ``limit`` points (with cells, before walking the cell that passed
-    it) and returns what it holds, so a result longer than ``limit`` is not
-    the whole orbit.
+    Without ``cells`` this is a breadth-first walk of the growing output
+    list: ``start`` comes first, and the order is deterministic given the
+    order of ``perms``. With ``cells``, the orbits of a group K, the result
+    is the closure under K and ``perms`` together, reached one whole cell
+    at a time: a newly reached point brings in its cell, listed least point
+    first, and only ``perms`` act on each point. With ``limit``, the search
+    stops as soon as it holds more than ``limit`` points (with cells, before
+    walking the cell that passed it) and returns what it holds, so a result
+    longer than ``limit`` is not the whole orbit.
     """
-    actions = list(actions)
     degree = None if cells is None else cells.degree
-    for a in actions:
+    for g in perms:
         if degree is None:
-            degree = a.degree
-        elif a.degree != degree:
-            raise ValueError("providers must share one degree")
+            degree = g.degree
+        elif g.degree != degree:
+            raise ValueError("permutations must share one degree")
     if degree is None:
         return [start]
     if not 0 <= start < degree:
@@ -238,27 +238,15 @@ def orbit(
         limit = degree  # an orbit never exceeds the degree
     elif limit < 1:
         raise ValueError("limit must be at least 1")
-    appliers = [a.apply for a in actions]
+    arrays = [g.images for g in perms]
     if cells is not None:
-        return _cell_closure(appliers, start, limit, cells)
+        return _cell_closure(arrays, start, limit, cells)
     seen = bytearray(degree)
     seen[start] = 1
     out = [start]
-    if all(isinstance(a, Permutation) for a in actions):
-        # index the image arrays: no call per step
-        arrays = [a.images for a in actions]
-        for p in out:  # grows while it is walked
-            for arr in arrays:
-                q = arr[p]
-                if not seen[q]:
-                    seen[q] = 1
-                    out.append(q)
-                    if len(out) > limit:
-                        return out
-        return out
     for p in out:  # grows while it is walked
-        for f in appliers:
-            q = f(p)
+        for arr in arrays:
+            q = arr[p]
             if not seen[q]:
                 seen[q] = 1
                 out.append(q)
@@ -267,7 +255,9 @@ def orbit(
     return out
 
 
-def _cell_closure(appliers, start: int, limit: int, cells: Orbits) -> list[int]:
+def _cell_closure(
+    arrays: list[tuple[int, ...]], start: int, limit: int, cells: Orbits
+) -> list[int]:
     """``orbit`` with cells: held cells are a set of roots, so a closure
     that stops early allocates nothing of the degree's size."""
     root, size, first, members = cells.root, cells.size, cells.first, cells.members
@@ -276,8 +266,8 @@ def _cell_closure(appliers, start: int, limit: int, cells: Orbits) -> list[int]:
         return out
     held = {root[start]}
     for p in out:  # grows while it is walked
-        for f in appliers:
-            r = root[f(p)]
+        for arr in arrays:
+            r = root[arr[p]]
             if r not in held:
                 held.add(r)
                 i = first[r]

@@ -123,9 +123,11 @@ def ss_primitivity(gens: GeneratorSet, cap: int) -> Verdict:
             key=lambda lam: size[lam] * n + lam,
         )
         for lam in reps:
-            r_word = rmap.word(lam)
+            # r_lam maps alpha to lam; evaluated once, it drives both the
+            # closure and the scoped transversal
+            r = rmap.word(lam).eval()
             diag.candidates_closed += 1
-            delta = orbit([r_word], alpha, dmax, cells)
+            delta = orbit([r], alpha, dmax, cells)
             if len(delta) > dmax:
                 continue
             diag.candidates_tested += 1
@@ -133,7 +135,7 @@ def ss_primitivity(gens: GeneratorSet, cap: int) -> Verdict:
             if res.kind == "is_block":
                 return _finish(Verdict("blocks", blocks=res.system), diag, state)
             wit = res.witness
-            scoped = build_scoped_transversal(state, r_word)
+            scoped = build_scoped_transversal(state, r)
             if scoped is None:
                 break
             s = scoped.word(wit.beta).eval()

@@ -4,8 +4,10 @@
 point stabilizer of alpha (one word per orbit point), or stops with a
 certified partial base of size L+1 when the base-size cap is exceeded.
 ``build_scoped_transversal`` does the same for the subgroup generated by
-one transversal word together with the elements of the levels below the
-first, sharing those levels with the live state.
+one evaluated transversal element r together with the elements of the
+levels below the first, sharing those levels with the live state; the
+caller evaluates r's word once and closes its candidate with the same
+permutation.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from typing import Callable
 
 from .perm import GeneratorSet, Permutation
 from .sift import Level, SiftOutcome, SiftState
-from .words import WitnessMap, Word
+from .words import WitnessMap
 
 
 def _close_transversal(
@@ -71,27 +73,25 @@ def build_point_transversal(
     return state, _close_transversal(state, gens.generators, on_sift)
 
 
-def build_scoped_transversal(state: SiftState, r_word: Word) -> WitnessMap | None:
-    """Transversal for K : K_alpha where K = <X_2* elements, r_word>.
+def build_scoped_transversal(state: SiftState, r: Permutation) -> WitnessMap | None:
+    """Transversal for K : K_alpha where K = <X_2* elements, r>.
 
-    Alpha is the first base point of ``state``. Works on an overlay whose
-    first level is temporarily the single materialized element of
-    ``r_word``; levels below the first are the live levels of ``state``
-    and any appends or new base levels made there persist. Overlay
-    first-level appends are discarded. Returns None once ``state`` is
-    capped.
+    Alpha is the first base point of ``state`` and ``r`` must move it.
+    Works on an overlay whose first level is temporarily ``r`` alone;
+    levels below the first are the live levels of ``state`` and any
+    appends or new base levels made there persist. Overlay first-level
+    appends are discarded. Returns None once ``state`` is capped.
     """
     if state.capped:
         return None
     alpha = state.levels[0].beta
-    if r_word.apply(alpha) == alpha:
-        raise ValueError("r-word must move alpha")
-    r_elem = r_word.eval()
-    overlay_level = Level.seeded(state.store, alpha, state.store.add(r_elem))
+    if r.images[alpha] == alpha:
+        raise ValueError("r must move alpha")
+    overlay_level = Level.seeded(state.store, alpha, state.store.add(r))
     overlay = SiftState(
         state.n, state.cap, state.store, [overlay_level] + state.levels[1:]
     )
-    kgens = [r_elem] + state.deep_element_perms()
+    kgens = [r] + state.deep_element_perms()
     orig_len = len(state.levels)
     try:
         rmap = _close_transversal(overlay, kgens)

@@ -96,17 +96,9 @@ class Word:
 
     def apply(self, p: int) -> int:
         """Image of a point; O(length) via atom-wise image chasing."""
-        store = self.store
-        forward, inverse = store.images, store._inverse_images
+        atom_images = self.store.atom_images
         for atom in self.atoms:
-            # atom_images, inlined: this is the candidate scan's inner loop
-            if atom.inverted:
-                arr = inverse[atom.elem]
-                if arr is None:
-                    arr = store.inverse_images(atom.elem)
-            else:
-                arr = forward[atom.elem]
-            p = arr[p]
+            p = atom_images(atom)[p]
         return p
 
     def eval(self) -> Permutation:

@@ -104,6 +104,21 @@ class TestPrimitive:
         )
         assert code == 2 and out == "" and "parse error" in err
 
+    def test_degree_above_maxsize_exits_2(self, capsys, monkeypatch):
+        for text in ("n=99999999999999999999999; (1 2)", "(1 99999999999999999999999)"):
+            code, out, err = run(capsys, monkeypatch, ["primitive"], stdin=text)
+            assert code == 2 and out == "" and "parse error" in err, text
+
+    @pytest.mark.parametrize("flags", [
+        ["--uncapped", "--cap", "1", "--law", "five-thirds"],
+        ["--uncapped", "--cap", "1"],
+        ["--cap", "2", "--law", "main"],
+        ["--law", "five-thirds", "--uncapped"],
+    ])
+    def test_cap_selectors_exclude_each_other(self, capsys, monkeypatch, flags):
+        code, out, err = run(capsys, monkeypatch, ["primitive", *flags], stdin=C6_JSON)
+        assert code == 2 and out == "" and "not allowed with" in err
+
     def test_h_update_growth_in_json(self, capsys, monkeypatch):
         code, out, _ = run(
             capsys, monkeypatch, ["gen", "--family", "subsets", "--m", "6", "--k", "2"]

@@ -78,6 +78,20 @@ class TestCycleFormat:
             parse_generators("(1 x)")
         assert (ei.value.line, ei.value.col) == (1, 4)
 
+    def test_integer_above_maxsize_rejected(self):
+        # an int above sys.maxsize cannot be a list length: a ParseError at
+        # the integer's start, not an OverflowError from building the list
+        for text, col in (
+            ("n=99999999999999999999999; (1 2)", 3),
+            ("(1 99999999999999999999999)", 4),
+            ("(1 " + "9" * 5000 + ")", 4),
+        ):
+            with pytest.raises(ParseError) as ei:
+                parse_generators(text)
+            assert (ei.value.line, ei.value.col) == (1, col)
+        # leading zeros do not count towards the size
+        assert parse_generators("(0001 000000000000000000000002)").degree == 2
+
     def test_zero_point_rejected(self):
         with pytest.raises(ParseError):
             parse_generators("(0 1)")

@@ -103,11 +103,12 @@ class TestOrbitLimit:
         x = store.add(perm(9, tuple(range(9))))
         y = store.add(perm(9, (0, 3, 6)))
         words = [Word(store, [Atom(x), Atom(y, inverted=True)]), Word(store, [Atom(y)])]
-        full = orbit(words, 1)
-        assert full == orbit([w.eval() for w in words], 1)
+        perms = [w.eval() for w in words]
+        full = orbit(perms, 1)
+        assert full == reference_orbit(words, 1)
         for limit in range(1, len(full)):
-            assert orbit(words, 1, limit) == full[: limit + 1]
-        assert orbit(words, 1, len(full)) == full
+            assert orbit(perms, 1, limit) == full[: limit + 1]
+        assert orbit(perms, 1, len(full)) == full
 
     def test_limit_below_one_rejected(self):
         with pytest.raises(ValueError):
@@ -134,7 +135,7 @@ def reference_orbit(actions, start, limit=None):
 
 @st.composite
 def mixed_providers(draw):
-    """1-4 providers of one degree, each a Permutation or a Word over a
+    """1-4 actions of one degree, each a Permutation or a Word over a
     store of 1-3 permutations; a few fixed points make intransitive sets
     common."""
     n = draw(st.integers(1, 10))
@@ -154,8 +155,7 @@ class TestOrbitWalk:
         n, actions = case
         start = data.draw(st.integers(0, n - 1))
         limit = data.draw(st.one_of(st.none(), st.integers(1, n)))
-        assert orbit(actions, start, limit) == reference_orbit(actions, start, limit)
-        # the image arrays of the same group, walked without calls
+        # words evaluated to permutations, walked over their image arrays
         perms = [a if isinstance(a, Permutation) else a.eval() for a in actions]
         assert orbit(perms, start, limit) == reference_orbit(actions, start, limit)
         gens = GeneratorSet(n, perms)
@@ -195,8 +195,8 @@ class TestOrbits:
 
 
 class TestOrbitCells:
-    # K is generated by the double transposition (0 1)(4 5); the provider
-    # is the 6-cycle
+    # K is generated by the double transposition (0 1)(4 5); R is the
+    # permutation walked
     K = Orbits(6, [perm(6, (0, 1), (4, 5))])
     R = perm(6, (0, 2, 4), (1, 3, 5))
 

@@ -10,7 +10,7 @@ from blocksift.cli import cli_main
 from blocksift.corpus import build, parse_spec, spec_order
 from blocksift.ioformats import emit_generators
 from blocksift import primitivity
-from blocksift.perm import GeneratorSet, Orbits, orbit
+from blocksift.perm import GeneratorSet, Orbits, Permutation, orbit
 from blocksift.primitivity import (
     Diagnostics,
     find_blocks_from_certificate,
@@ -20,7 +20,8 @@ from blocksift.primitivity import (
     ss_uncapped,
 )
 from blocksift.sift import Certificate
-from blocksift.transversal import build_point_transversal
+from blocksift.transversal import build_point_transversal, build_scoped_transversal
+from blocksift.words import Word
 from conftest import perm, relabel
 
 
@@ -353,7 +354,7 @@ class TestCandidateSizeBound:
         def checked_orbit(actions, start, limit=None, cells=None):
             delta = orbit(actions, start, limit, cells)
             if limit is not None and len(delta) > limit:
-                lam = actions[-1].apply(start)  # the r-word comes last
+                lam = actions[-1].apply(start)  # r_lam comes last
                 assert minimal_block(gens, [start, lam]) == omega
                 skipped.append(("closed", len(orbit(actions, start, cells=cells))))
             return delta
@@ -372,7 +373,7 @@ class TestCandidateSizeBound:
                     # size is 0 off the least point of each H-orbit
                     if lam != alpha and horbits.size[lam] >= dmax:
                         assert minimal_block(gens, [alpha, lam]) == omega
-                        full = orbit(hgens + [rmap.word(lam)], alpha)
+                        full = orbit(hgens + [rmap.word(lam).eval()], alpha)
                         skipped.append(("dropped", len(full)))
         assert routes <= {route for route, size in skipped if size < n}
 
@@ -407,7 +408,7 @@ def test_cell_closure_matches_plain_closure(data):
     state, rmap = build_point_transversal(gens, alpha, n)
     hgens = state.deep_element_perms()
     cells = Orbits(n, hgens)
-    r = rmap.word(data.draw(st.sampled_from(rmap.points)))
+    r = rmap.word(data.draw(st.sampled_from(rmap.points))).eval()
     start = data.draw(st.sampled_from([alpha, rng.randrange(n)]))
     limit = data.draw(st.integers(1, n))
     full = orbit(hgens + [r], start)
@@ -417,3 +418,42 @@ def test_cell_closure_matches_plain_closure(data):
         assert sorted(got) == sorted(full)
     else:
         assert len(got) > limit
+
+
+@pytest.mark.parametrize("spec", ["cyclic(16)", "wreath(symmetric(3),3)", "subsets(6,2)"])
+def test_candidates_close_over_evaluated_r(monkeypatch, spec):
+    # Each candidate's r-word is evaluated once: the closure and the scoped
+    # transversal get the same Permutation, and no word acts point by point.
+    gens = relabel(build(parse_spec(spec)), random.Random(spec), 1)
+    applied = []
+    closed = []  # the permutations each candidate closure walks
+    scoped = []  # (r passed in, r of the closure before it)
+    word_apply = Word.apply
+
+    def counting_apply(self, p):
+        applied.append(p)
+        return word_apply(self, p)
+
+    def recording_orbit(perms, start, limit=None, cells=None):
+        closed.append(list(perms))
+        return orbit(perms, start, limit, cells)
+
+    def recording_scoped(state, r):
+        scoped.append((r, closed[-1][-1]))
+        return build_scoped_transversal(state, r)
+
+    monkeypatch.setattr(Word, "apply", counting_apply)
+    monkeypatch.setattr(primitivity, "orbit", recording_orbit)
+    monkeypatch.setattr(primitivity, "build_scoped_transversal", recording_scoped)
+    for driver in (
+        primitivity_main,
+        ss_uncapped,
+        lambda g: primitivity._capped_driver(g, 2, "partial_base"),
+    ):
+        driver(gens)
+    assert applied == []
+    assert closed and all(type(g) is Permutation for perms in closed for g in perms)
+    for r, last_closed in scoped:
+        assert type(r) is Permutation and r is last_closed
+    if spec == "subsets(6,2)":
+        assert scoped  # failed blockness tests reach the scoped transversal

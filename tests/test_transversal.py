@@ -6,7 +6,6 @@ import pytest
 from blocksift.perm import GeneratorSet, Permutation, orbit
 from blocksift.sift import SiftState
 from blocksift.transversal import build_point_transversal, build_scoped_transversal
-from blocksift.words import Word
 from conftest import perm, random_element
 
 
@@ -60,14 +59,14 @@ class TestBuildScopedTransversal:
     def test_single_cycle_closure(self):
         state = self._seeded_state(4, perm(4, (0, 1, 2, 3)))
         pts, rmap = state.level_deep_orbit(1)
-        scoped = build_scoped_transversal(state, rmap.word(1))
+        scoped = build_scoped_transversal(state, rmap.word(1).eval())
         assert scoped is not None
         assert set(scoped.points) == {0, 1, 2, 3}
 
     def test_involution_orbit(self):
         state = self._seeded_state(4, perm(4, (0, 1)))
         _, rmap = state.level_deep_orbit(1)
-        scoped = build_scoped_transversal(state, rmap.word(1))
+        scoped = build_scoped_transversal(state, rmap.word(1).eval())
         assert set(scoped.points) == {0, 1}
 
     def test_cap_already_reached(self):
@@ -76,7 +75,7 @@ class TestBuildScopedTransversal:
         assert state.capped
         _, rmap = state.level_deep_orbit(1)
         stored = len(state.store)
-        assert build_scoped_transversal(state, rmap.word(1)) is None
+        assert build_scoped_transversal(state, rmap.word(1).eval()) is None
         # the cap is checked before the r-word is stored
         assert len(state.store) == stored
         assert len(state.certificate()) == 2
@@ -86,7 +85,7 @@ class TestBuildScopedTransversal:
         state, rmap = build_point_transversal(gens, 0, 4)
         x1_before = list(state.levels[0].elems)
         store = state.store
-        scoped = build_scoped_transversal(state, rmap.word(2))
+        scoped = build_scoped_transversal(state, rmap.word(2).eval())
         assert scoped is not None
         assert state.levels[0].elems == x1_before  # level-1 overlay discarded
         for lv in state.levels[1:]:  # any deep appends are valid elements
@@ -97,7 +96,7 @@ class TestBuildScopedTransversal:
     def test_fixed_rword_rejected(self):
         state = self._seeded_state(4, perm(4, (0, 1, 2, 3)))
         with pytest.raises(ValueError):
-            build_scoped_transversal(state, Word(state.store))
+            build_scoped_transversal(state, Permutation.identity(4))
 
 
 KNOWN_ORDER_GROUPS = [

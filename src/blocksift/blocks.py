@@ -10,7 +10,6 @@ the project-wide oracle.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Literal
 
@@ -119,14 +118,10 @@ class _UnionFind:
 def _minimal_block_unchecked(gens: GeneratorSet, seed: Iterable[int]) -> set[int]:
     seed = list(dict.fromkeys(seed))
     uf = _UnionFind(gens.degree)
-    events: deque[tuple[int, int]] = deque()
     anchor = seed[0]
-    for p in seed[1:]:
-        if uf.union(anchor, p):
-            events.append((anchor, p))
+    events = [(anchor, p) for p in seed[1:] if uf.union(anchor, p)]
     arrays = [g.images for g in gens.generators]
-    while events:
-        p, q = events.popleft()
+    for p, q in events:  # grows while it is walked
         for arr in arrays:
             ip, iq = arr[p], arr[q]
             if uf.union(ip, iq):
@@ -170,10 +165,8 @@ def blockness_test(gens: GeneratorSet, delta: Iterable[int], alpha: int) -> Bloc
     parent: list[tuple[int, int] | None] = [None]  # (parent block id, generator index)
     for p in delta:
         block_of[p] = 0
-    queue = deque((0,))
-    while queue:
-        b = queue.popleft()
-        pts = blocks[b]
+    # blocks are walked in creation order while new translates are appended
+    for b, pts in enumerate(blocks):
         for si, arr in enumerate(arrays):
             img = [arr[p] for p in pts]
             ids = {block_of[p] for p in img}
@@ -183,7 +176,6 @@ def blockness_test(gens: GeneratorSet, delta: Iterable[int], alpha: int) -> Bloc
                 parent.append((b, si))
                 for p in img:
                     block_of[p] = bid
-                queue.append(bid)
                 continue
             if len(ids) == 1:
                 c = next(iter(ids))

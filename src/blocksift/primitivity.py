@@ -70,9 +70,10 @@ class Verdict:
 
 
 def _largest_proper_divisor(n: int) -> int:
-    """n // p for the smallest prime p dividing n >= 2, by trial division.
+    """n // p for the smallest prime p dividing n, by trial division.
 
     This bounds the size of any proper block, since block sizes divide n.
+    It is 1 when n is 1 or prime, where no proper block exists.
     """
     p = 2
     while p * p <= n:
@@ -85,22 +86,21 @@ def _largest_proper_divisor(n: int) -> int:
 def ss_primitivity(gens: GeneratorSet, cap: int) -> Verdict:
     """Capped primitivity loop at alpha = 0: Primitive, Blocks, or PartialBase.
 
-    A transitive group of prime degree is answered ``primitive`` before the
-    transversal phase, with zero diagnostics and whatever the cap. Every
-    capped route (point transversal, scoped transversal, H-update sift)
-    leaves the loop for the one partial-base exit at its end.
+    A transitive group of degree 1 or of prime degree is answered
+    ``primitive`` before the transversal phase, with zero diagnostics and
+    whatever the cap. Every capped route (point transversal, scoped
+    transversal, H-update sift) leaves the loop for the one partial-base
+    exit at its end.
     """
     n = gens.degree
-    if n < 2:
-        raise ValueError("ss_primitivity requires degree at least 2")
     if cap < 1:
         raise ValueError("cap must be at least 1")
     if not is_transitive(gens):
         raise ValueError("ss_primitivity requires a transitive group")
     dmax = _largest_proper_divisor(n)
     if dmax == 1:
-        # prime degree: block sizes divide n, so the size filter below would
-        # drop every candidate; nothing is built and nothing is sifted
+        # degree 1 or prime: block sizes divide n, so the size filter below
+        # would drop every candidate; nothing is built and nothing is sifted
         return Verdict("primitive")
     diag = Diagnostics()
     alpha = 0
@@ -203,10 +203,6 @@ def _capped_driver(gens: GeneratorSet, cap: int, escape: VerdictKind) -> Verdict
 
     A partial base whose certificate yields no block ends in ``escape``.
     """
-    if cap < 1:
-        raise ValueError("cap must be at least 1")
-    if gens.degree == 1:
-        return Verdict("primitive")
     v = ss_primitivity(gens, cap)
     if v.kind != "partial_base":
         return v

@@ -1,11 +1,13 @@
 """Deep sifting: the base/cube data structure and the sift procedure.
 
 The state keeps base points beta_1..beta_l with, per level i, a list X_i of
-stored permutations whose shallow cube C(X_i) maps beta_i to 2^|X_i|
-distinct points (the tracked set Delta_i, every point carrying a witness
-word over X_i). Sifting an element either strips it to the identity
-through the shallow cubes, appends it to the first level whose tracked set
-it translates off itself, or opens a new base level.
+permutations whose shallow cube C(X_i) maps beta_i to 2^|X_i| distinct
+points (the tracked set Delta_i, every point carrying a witness word over
+X_i). The letters of every word are the elements of X_i themselves, or
+the inverses they cache, so each element is held once. Sifting an element
+either strips it to the identity through the shallow cubes, appends it to
+the first level whose tracked set it translates off itself, or opens a
+new base level.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 from typing import Literal
 
 from .perm import Permutation
-from .words import Atom, ElementStore, WitnessMap, Word, deep_cube_orbit
+from .words import WitnessMap, Word, deep_cube_orbit
 
 
 @dataclass
@@ -22,15 +24,15 @@ class Level:
     """One level of the structure: beta_i, X_i, and witnessed Delta_i."""
 
     beta: int
-    elems: list[int]  # store indices of X_i, in append order
+    elems: list[Permutation]  # X_i, in append order
     witness: WitnessMap  # Delta_i point -> word over X_i reaching it from beta_i
 
     @classmethod
-    def seeded(cls, store: ElementStore, beta: int, idx: int) -> "Level":
-        """A level with X_i = [stored element idx], which must move beta."""
-        witness = WitnessMap(store, [beta])
-        witness.expand(Atom(idx))
-        return cls(beta, [idx], witness)
+    def seeded(cls, beta: int, x: Permutation) -> "Level":
+        """A level with X_i = [x], which must move beta."""
+        witness = WitnessMap(x.degree, [beta])
+        witness.expand(x)
+        return cls(beta, [x], witness)
 
     @property
     def delta(self) -> list[int]:
@@ -81,10 +83,9 @@ class SiftOutcome:
 class SiftState:
     """Single-owner mutable deep-sifting state with base-size cap L."""
 
-    def __init__(self, n: int, cap: int, store: ElementStore, levels: list[Level]):
+    def __init__(self, n: int, cap: int, levels: list[Level]):
         self.n = n
         self.cap = cap
-        self.store = store
         self.levels = levels
         self.sift_count = 0
 
@@ -96,8 +97,7 @@ class SiftState:
             raise ValueError("seed degree mismatch")
         if seed.images[beta1] == beta1:
             raise ValueError("seed must move the first base point")
-        store = ElementStore(n)
-        return cls(n, cap, store, [Level.seeded(store, beta1, store.add(seed))])
+        return cls(n, cap, [Level.seeded(beta1, seed)])
 
     @property
     def level_count(self) -> int:
@@ -115,25 +115,15 @@ class SiftState:
     def sum_xi(self, start_level: int = 1) -> int:
         return sum(len(lv.elems) for lv in self.levels[start_level - 1:])
 
-    def level_perms(self, i: int) -> list[Permutation]:
-        """Explicit elements of X_i (1-based level index)."""
-        return [self.store.perm(idx) for idx in self.levels[i - 1].elems]
-
     def deep_element_perms(self) -> list[Permutation]:
-        """Explicit elements of X_2*, i.e. all levels below the first."""
-        out = []
-        for lv in self.levels[1:]:
-            out.extend(self.store.perm(idx) for idx in lv.elems)
-        return out
+        """The elements of X_2*, i.e. of all levels below the first."""
+        return [x for lv in self.levels[1:] for x in lv.elems]
 
     def xstar(self, i: int) -> Word:
         """Concatenation X_l, X_{l-1}, ..., X_i as one word."""
         if not 1 <= i <= self.level_count:
             raise ValueError(f"level {i} out of range 1..{self.level_count}")
-        atoms = []
-        for lv in reversed(self.levels[i - 1:]):
-            atoms.extend(Atom(idx) for idx in lv.elems)
-        return Word(self.store, atoms)
+        return Word(self.n, [x for lv in reversed(self.levels[i - 1:]) for x in lv.elems])
 
     def level_deep_orbit(self, i: int) -> tuple[list[int], WitnessMap]:
         """Images of beta_i under the deep cube at level i, with r-words."""
@@ -158,7 +148,9 @@ class SiftState:
             held = lv.witness.parent
             inter = [q for q in map(img.__getitem__, lv.delta) if held[q] >= 0]
             if not inter:
-                self._append_to_level(lv, g)
+                # g translates Delta_i off itself, so appending it doubles Delta_i
+                lv.witness.expand(g)
+                lv.elems.append(g)
                 return SiftOutcome("appended", idx + 1, chain, g)
             lam = min(inter)
             s = lv.witness.word(img.index(lam))
@@ -168,20 +160,12 @@ class SiftState:
         if g.is_identity():
             return SiftOutcome("sifted_to_identity", None, chain, g)
         beta = min(g.support())
-        self.levels.append(Level.seeded(self.store, beta, self.store.add(g)))
+        self.levels.append(Level.seeded(beta, g))
         return SiftOutcome("new_base_point", self.level_count, chain, g)
-
-    def _append_to_level(self, lv: Level, g: Permutation) -> None:
-        """Append g to X_i; g translates Delta_i off itself, so it doubles."""
-        store_idx = self.store.add(g)
-        lv.witness.expand(Atom(store_idx))
-        lv.elems.append(store_idx)
 
     def certificate(self) -> Certificate:
         """(beta_i, first element of X_i) for every level."""
-        return Certificate(
-            [(lv.beta, self.store.perm(lv.elems[0])) for lv in self.levels]
-        )
+        return Certificate([(lv.beta, lv.elems[0]) for lv in self.levels])
 
     def validate(self) -> None:
         """Check all structural invariants; raises AssertionError on violation.
@@ -203,8 +187,7 @@ class SiftState:
                 raise AssertionError("|Delta_i| must be 2^|X_i|")
             if lv.beta not in lv.delta:
                 raise AssertionError("beta_i must lie in Delta_i")
-            for idx in lv.elems:
-                x = self.store.perm(idx)
+            for x in lv.elems:
                 if x.images[lv.beta] == lv.beta:
                     raise AssertionError("every element of X_i moves beta_i")
                 for prev in self.levels[:k]:
@@ -225,7 +208,7 @@ class SiftState:
             "levels": [
                 {
                     "beta": lv.beta,
-                    "x": [list(self.store.perm(i).images) for i in lv.elems],
+                    "x": [list(x.images) for x in lv.elems],
                     "delta": sorted(lv.delta),
                 }
                 for lv in self.levels

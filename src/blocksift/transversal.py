@@ -7,7 +7,8 @@ certified partial base of size L+1 when the base-size cap is exceeded.
 one evaluated transversal element r together with the elements of the
 levels below the first, sharing those levels with the live state; the
 caller evaluates r's word once and closes its candidate with the same
-permutation.
+permutation. The letters of every r-word are level elements of the state
+(or the inverses they cache), so a word holds no copy of any element.
 """
 
 from __future__ import annotations
@@ -80,17 +81,15 @@ def build_scoped_transversal(state: SiftState, r: Permutation) -> WitnessMap | N
     Works on an overlay whose first level is temporarily ``r`` alone;
     levels below the first are the live levels of ``state`` and any
     appends or new base levels made there persist. Overlay first-level
-    appends are discarded. Returns None once ``state`` is capped.
+    appends are discarded: nothing but the returned r-words refers to
+    them. Returns None once ``state`` is capped.
     """
     if state.capped:
         return None
     alpha = state.levels[0].beta
-    if r.images[alpha] == alpha:
-        raise ValueError("r must move alpha")
-    overlay_level = Level.seeded(state.store, alpha, state.store.add(r))
-    overlay = SiftState(
-        state.n, state.cap, state.store, [overlay_level] + state.levels[1:]
-    )
+    if r.degree != state.n or r.images[alpha] == alpha:
+        raise ValueError("r must act on the state's points and move alpha")
+    overlay = SiftState(state.n, state.cap, [Level.seeded(alpha, r)] + state.levels[1:])
     kgens = [r] + state.deep_element_perms()
     orig_len = len(state.levels)
     try:

@@ -1,164 +1,88 @@
-"""Words over stored permutations and the cube construction.
+"""Words over permutations and the cube construction.
 
-Group elements produced during sifting live in an append-only
-:class:`ElementStore`; a :class:`Word` is a flat sequence of atoms, each a
-(store index, inversion flag) pair, evaluated left to right under the
-project-wide right-action convention. A word's letters, read as a list
-X, also name the cube C(X): the set of subset products
+A :class:`Word` is a flat sequence of letters, each a :class:`Permutation`,
+evaluated left to right under the project-wide right-action convention.
+An inverted letter is the inverse its permutation caches, so inverting a
+word twice gives back the very same letter objects and each element's
+inverse image tuple is built at most once. A word's letters, read as a
+list X, also name the cube C(X): the set of subset products
 x1^e1 ... xj^ej (e in {0,1}).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 from .perm import Permutation, product_images
 
 
-@dataclass(frozen=True, slots=True)
-class Atom:
-    """One letter of a word: a stored element, possibly inverted."""
-
-    elem: int
-    inverted: bool = False
-
-    def __post_init__(self):
-        # letters are looked up by list index, where -1 would silently
-        # name the last stored element
-        if self.elem < 0:
-            raise ValueError(f"element index must be non-negative, not {self.elem}")
-
-    def invert(self) -> "Atom":
-        return Atom(self.elem, not self.inverted)
-
-
-class ElementStore:
-    """Append-only store of explicit permutations referenced by words.
-
-    Image arrays are kept in lists indexed by element number: forward
-    images as elements are added, inverse images built on first use, once
-    per element. A letter lookup is then a list index.
-    """
-
-    def __init__(self, degree: int):
-        if degree < 1:
-            raise ValueError("degree must be at least 1")
-        self.degree = degree
-        self._perms: list[Permutation] = []
-        self.images: list[tuple[int, ...]] = []
-        self._inverse_images: list[tuple[int, ...] | None] = []
-
-    def add(self, g: Permutation) -> int:
-        if g.degree != self.degree:
-            raise ValueError("degree mismatch in element store")
-        self._perms.append(g)
-        self.images.append(g.images)
-        self._inverse_images.append(None)
-        return len(self._perms) - 1
-
-    def perm(self, index: int) -> Permutation:
-        if not 0 <= index < len(self._perms):
-            raise RuntimeError(f"dangling element reference {index}")
-        return self._perms[index]
-
-    def inverse_images(self, index: int) -> tuple[int, ...]:
-        inv = self._inverse_images[index]
-        if inv is None:
-            inv = self._inverse_images[index] = self._perms[index].inverse().images
-        return inv
-
-    def atom_images(self, atom: Atom) -> tuple[int, ...]:
-        """Image array realizing one atom's point action."""
-        if atom.inverted:
-            return self.inverse_images(atom.elem)
-        return self.images[atom.elem]
-
-    def __len__(self) -> int:
-        return len(self._perms)
-
-
 class Word:
-    """A lazily evaluated product of stored elements; empty means identity."""
+    """A lazily evaluated product of permutations; empty means identity."""
 
-    __slots__ = ("store", "atoms")
+    __slots__ = ("degree", "letters")
 
-    def __init__(self, store: ElementStore, atoms: Iterable[Atom] = ()):
-        self.store = store
-        self.atoms = tuple(atoms)
-
-    @property
-    def degree(self) -> int:
-        return self.store.degree
+    def __init__(self, degree: int, letters: Iterable[Permutation] = ()):
+        self.degree = degree
+        self.letters = tuple(letters)
 
     def __len__(self) -> int:
-        return len(self.atoms)
+        return len(self.letters)
 
     def apply(self, p: int) -> int:
-        """Image of a point; O(length) via atom-wise image chasing."""
-        atom_images = self.store.atom_images
-        for atom in self.atoms:
-            p = atom_images(atom)[p]
+        """Image of a point; O(length) via letter-wise image chasing."""
+        for g in self.letters:
+            p = g.images[p]
         return p
 
     def eval(self) -> Permutation:
         """Materialize the product as an explicit permutation."""
-        if not self.atoms:
-            return Permutation.unchecked(tuple(range(self.store.degree)))
-        atom_images = self.store.atom_images
-        cur = atom_images(self.atoms[0])
-        for atom in self.atoms[1:]:
-            cur = product_images(cur, atom_images(atom))
+        if not self.letters:
+            return Permutation.unchecked(tuple(range(self.degree)))
+        cur = self.letters[0].images
+        for g in self.letters[1:]:
+            cur = product_images(cur, g.images)
         return Permutation.unchecked(cur)
 
     def inverse_word(self) -> "Word":
-        return Word(self.store, tuple(a.invert() for a in reversed(self.atoms)))
-
-    def __repr__(self) -> str:
-        body = " ".join(
-            f"{a.elem}{'^-1' if a.inverted else ''}" for a in self.atoms
-        )
-        return f"Word[{body}]" if body else "Word[e]"
+        return Word(self.degree, tuple(g.inverse() for g in reversed(self.letters)))
 
 
 class WitnessMap:
     """Witness words of the points a cube expansion reaches, as parent links.
 
     Two degree-sized arrays hold, per discovered point, the point it was
-    reached from and the letter that reached it; a root is its own parent
-    with no letter, and an undiscovered point has parent -1. ``points``
-    lists the discovered points in discovery order. Words are built on
-    access by walking the links, so recording a point costs two stores
-    regardless of how many witness words are ever needed.
+    reached from and the permutation that reached it; a root is its own
+    parent with no letter, and an undiscovered point has parent -1.
+    ``points`` lists the discovered points in discovery order. Words are
+    built on access by walking the links, so recording a point costs two
+    stores regardless of how many witness words are ever needed.
     """
 
-    __slots__ = ("store", "points", "parent", "letter")
+    __slots__ = ("points", "parent", "letter")
 
-    def __init__(self, store: ElementStore, roots: Iterable[int]):
-        n = store.degree
-        self.store = store
+    def __init__(self, degree: int, roots: Iterable[int]):
         self.points: list[int] = []
-        self.parent = [-1] * n
-        self.letter: list[Atom | None] = [None] * n
+        self.parent = [-1] * degree
+        self.letter: list[Permutation | None] = [None] * degree
         for p in roots:
-            if not 0 <= p < n:
-                raise ValueError(f"point {p} out of range for degree {n}")
+            if not 0 <= p < degree:
+                raise ValueError(f"point {p} out of range for degree {degree}")
             if self.parent[p] < 0:
                 self.parent[p] = p
                 self.points.append(p)
 
-    def expand(self, atom: Atom) -> None:
-        """One cube step: add the images under ``atom`` of the points held.
+    def expand(self, x: Permutation) -> None:
+        """One cube step: add the images under ``x`` of the points held.
 
         A point already held keeps its first-discovery link.
         """
-        arr = self.store.atom_images(atom)
+        arr = x.images
         parent, letter, points = self.parent, self.letter, self.points
         for p in points[:]:
             q = arr[p]
             if parent[q] < 0:
                 parent[q] = p
-                letter[q] = atom
+                letter[q] = x
                 points.append(q)
 
     def __contains__(self, p: object) -> bool:
@@ -170,13 +94,13 @@ class WitnessMap:
             raise KeyError(p)
         parent, letter = self.parent, self.letter
         rev = []
-        atom = letter[p]
-        while atom is not None:
-            rev.append(atom)
+        x = letter[p]
+        while x is not None:
+            rev.append(x)
             p = parent[p]
-            atom = letter[p]
+            x = letter[p]
         rev.reverse()
-        return Word(self.store, rev)
+        return Word(len(parent), rev)
 
 
 def cube_set_image(x: Word, delta: Iterable[int]) -> tuple[list[int], WitnessMap]:
@@ -189,14 +113,14 @@ def cube_set_image(x: Word, delta: Iterable[int]) -> tuple[list[int], WitnessMap
     word. The expansion stops once it holds all n points, since later
     letters could discover nothing.
     """
-    wit = WitnessMap(x.store, delta)
+    wit = WitnessMap(x.degree, delta)
     if not wit.points:
         raise ValueError("delta must be nonempty")
-    n = x.store.degree
-    for atom in x.atoms:
+    n = x.degree
+    for g in x.letters:
         if len(wit.points) == n:
             break
-        wit.expand(atom)
+        wit.expand(g)
     return wit.points, wit
 
 
@@ -207,5 +131,5 @@ def deep_cube_orbit(xstar: Word, beta: int) -> tuple[list[int], WitnessMap]:
     C(X)^-1 = C(X^-1) for X^-1 the reversed list of inverses; every output
     point gets a word of length <= 2|X*| mapping ``beta`` to it.
     """
-    full = Word(xstar.store, xstar.inverse_word().atoms + xstar.atoms)
+    full = Word(xstar.degree, xstar.inverse_word().letters + xstar.letters)
     return cube_set_image(full, [beta])

@@ -174,7 +174,7 @@ def test_criterion_5_lemma_checks_small():
             xstar = [
                 p
                 for lvl in range(state.level_count, entry, -1)
-                for p in state.level_perms(lvl)
+                for p in state.levels[lvl - 1].elems
             ]
             checked += 1
             cube = enumerate_deep_cube(xstar)

@@ -10,7 +10,7 @@ from blocksift.perm import (
     is_transitive,
     orbit,
 )
-from blocksift.words import Atom, ElementStore, Word
+from blocksift.words import Word
 from conftest import perm
 
 
@@ -99,10 +99,9 @@ class TestOrbitLimit:
         assert orbit(gens, 0, 12) == full
 
     def test_word_provider(self):
-        store = ElementStore(9)
-        x = store.add(perm(9, tuple(range(9))))
-        y = store.add(perm(9, (0, 3, 6)))
-        words = [Word(store, [Atom(x), Atom(y, inverted=True)]), Word(store, [Atom(y)])]
+        x = perm(9, tuple(range(9)))
+        y = perm(9, (0, 3, 6))
+        words = [Word(9, [x, y.inverse()]), Word(9, [y])]
         perms = [w.eval() for w in words]
         full = orbit(perms, 1)
         assert full == reference_orbit(words, 1)
@@ -135,16 +134,14 @@ def reference_orbit(actions, start, limit=None):
 
 @st.composite
 def mixed_providers(draw):
-    """1-4 actions of one degree, each a Permutation or a Word over a
-    store of 1-3 permutations; a few fixed points make intransitive sets
-    common."""
+    """1-4 actions of one degree, each a Permutation or a Word over 1-3
+    permutations and their inverses; a few fixed points make intransitive
+    sets common."""
     n = draw(st.integers(1, 10))
     perms = st.permutations(list(range(n))).map(Permutation)
-    store = ElementStore(n)
-    for _ in range(draw(st.integers(1, 3))):
-        store.add(draw(perms))
-    atoms = st.builds(Atom, st.integers(0, len(store) - 1), st.booleans())
-    words = st.lists(atoms, max_size=4).map(lambda a: Word(store, a))
+    elems = [draw(perms) for _ in range(draw(st.integers(1, 3)))]
+    letters = st.sampled_from(elems + [g.inverse() for g in elems])
+    words = st.lists(letters, max_size=4).map(lambda ls: Word(n, ls))
     actions = draw(st.lists(st.one_of(perms, words), min_size=1, max_size=4))
     return n, actions
 

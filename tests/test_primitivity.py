@@ -53,8 +53,12 @@ class TestSSPrimitivity:
     def test_argument_errors(self):
         with pytest.raises(ValueError):
             ss_primitivity(GeneratorSet(3, [perm(3, (0, 1))]), 5)  # intransitive
+        one = GeneratorSet(1, [perm(1)])
         with pytest.raises(ValueError):
-            ss_primitivity(GeneratorSet(1, [perm(1)]), 5)  # degenerate
+            ss_primitivity(one, 0)  # the cap is checked at every degree
+        for cap in (1, 2, 3):  # degree 1 is decided like a prime degree
+            v = ss_primitivity(one, cap)
+            assert v.kind == "primitive" and v.diagnostics == Diagnostics()
 
     def test_primitive_implies_all_minimal_blocks_full(self):
         for gens in (A5, S4, S3):

@@ -7,6 +7,8 @@ from blocksift import primitivity
 from blocksift.perm import GeneratorSet, Permutation
 from blocksift.primitivity import primitivity_main, primitivity_subquadratic, ss_uncapped
 from blocksift.sift import SiftState
+from blocksift.transversal import build_point_transversal
+from blocksift.words import WitnessMap
 from conftest import (
     brute_force_elements,
     enumerate_deep_cube,
@@ -59,7 +61,7 @@ class TestDeepSift:
         state, out = two_level_state()
         assert out.kind == "new_base_point" and out.level == 2
         assert state.base == [0, 1]
-        assert state.level_perms(2) == [perm(4, (1, 3))]
+        assert state.levels[1].elems == [perm(4, (1, 3))]
         assert set(state.levels[1].delta) == {1, 3}
         # stripped element is in the stabilizer of 0 (brute-force membership)
         g4 = GeneratorSet(4, [perm(4, (0, 1, 2, 3)), perm(4, (0, 1), (2, 3))])
@@ -186,7 +188,7 @@ def test_deep_cube_lemmas_small(name, gens, order):
             xstar = [
                 p
                 for lvl in range(state.level_count, entry, -1)
-                for p in state.level_perms(lvl)
+                for p in state.levels[lvl - 1].elems
             ]
             cube = enumerate_deep_cube(xstar)
             assert g in cube, "augment-generators: g must lie in the deep cube"
@@ -198,35 +200,64 @@ def test_deep_cube_lemmas_small(name, gens, order):
 
 def test_stored_elements_pass_checked_construction(full_corpus, monkeypatch):
     # products and inverses are built unchecked inside the drivers; every
-    # stored element and its inverse must still pass the checked
+    # element a cube expansion walks (level elements, overlay elements and
+    # the inverses they cache) and its inverse must still pass the checked
     # constructor, and the final structure its invariants
     states = []
+    walked = {}  # id -> element, which keeps each id unique
     build_point_transversal = primitivity.build_point_transversal
+    expand = WitnessMap.expand
 
     def capture(*args, **kwargs):
         res = build_point_transversal(*args, **kwargs)
         states.append(res[0])
         return res
 
+    def recording_expand(self, x):
+        walked[id(x)] = x
+        return expand(self, x)
+
     monkeypatch.setattr(primitivity, "build_point_transversal", capture)
+    monkeypatch.setattr(WitnessMap, "expand", recording_expand)
     rng = random.Random(11)
     checked = 0
     for entry in full_corpus:
         for gens in (entry.gens, relabel(entry.gens, rng, extra=1)):
             for driver in (primitivity_main, primitivity_subquadratic, ss_uncapped):
                 states.clear()
+                walked.clear()
                 driver(gens)
                 if primitivity._largest_proper_divisor(gens.degree) == 1:
-                    assert states == []  # prime degree: nothing is built
+                    assert states == [] and walked == {}  # prime degree: nothing is built
                     continue
                 (state,) = states
-                store = state.store
-                for i in range(len(store)):
-                    g = store.perm(i)
+                for lv in state.levels:
+                    assert all(id(x) in walked for x in lv.elems)
+                for g in walked.values():
                     assert Permutation(list(g.images)) == g
-                    inv = Permutation(list(store.inverse_images(i)))
+                    inv = Permutation(list(g.inverse().images))
                     assert (g * inv).is_identity()
-                    assert Permutation(list(g.inverse().images)) == inv
+                    assert g.inverse().inverse() is g
                     checked += 1
                 state.validate()
     assert checked > 1000
+
+
+def test_each_element_is_inverted_once(full_corpus):
+    # a word's inverted letters are the inverses its level elements cache:
+    # inverting twice gives back the very same objects, and every r-word is
+    # spelled in level elements and those inverses only
+    rng = random.Random(29)
+    for entry in full_corpus:
+        gens = relabel(entry.gens, rng, extra=1)
+        state, rmap = build_point_transversal(gens, 0, gens.degree)
+        elems = [x for lv in reversed(state.levels) for x in lv.elems]
+        xstar = state.xstar(1)
+        inv = xstar.inverse_word()
+        assert len(xstar) == len(inv) == len(elems) == state.sum_xi()
+        assert all(a is x for a, x in zip(xstar.letters, elems))
+        assert all(a is x.inverse() for a, x in zip(inv.letters, reversed(elems)))
+        assert all(a is x for a, x in zip(inv.inverse_word().letters, elems))
+        spelled = {id(x) for x in elems} | {id(x.inverse()) for x in elems}
+        for p in rmap.points:
+            assert all(id(g) in spelled for g in rmap.word(p).letters)

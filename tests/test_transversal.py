@@ -74,29 +74,29 @@ class TestBuildScopedTransversal:
         state.deep_sift(perm(3, (1, 2)))  # level count -> 2 = cap + 1
         assert state.capped
         _, rmap = state.level_deep_orbit(1)
-        stored = len(state.store)
+        levels, sum_xi = state.debug_dump()["levels"], state.sum_xi()
         assert build_scoped_transversal(state, rmap.word(1).eval()) is None
-        # the cap is checked before the r-word is stored
-        assert len(state.store) == stored
+        # the cap is checked before any overlay is built
+        assert state.debug_dump()["levels"] == levels and state.sum_xi() == sum_xi
         assert len(state.certificate()) == 2
 
     def test_overlay_level_discarded_deep_appends_kept(self):
         gens = GeneratorSet(4, [perm(4, (0, 1, 2, 3)), perm(4, (1, 3))])
         state, rmap = build_point_transversal(gens, 0, 4)
         x1_before = list(state.levels[0].elems)
-        store = state.store
         scoped = build_scoped_transversal(state, rmap.word(2).eval())
         assert scoped is not None
         assert state.levels[0].elems == x1_before  # level-1 overlay discarded
         for lv in state.levels[1:]:  # any deep appends are valid elements
-            for idx in lv.elems:
-                g = store.perm(idx)
+            for g in lv.elems:
                 assert g.images[0] == 0 and g.images[lv.beta] != lv.beta
 
     def test_fixed_rword_rejected(self):
         state = self._seeded_state(4, perm(4, (0, 1, 2, 3)))
         with pytest.raises(ValueError):
             build_scoped_transversal(state, Permutation.identity(4))
+        with pytest.raises(ValueError):  # r must act on the state's points
+            build_scoped_transversal(state, perm(5, (0, 1)))
 
 
 KNOWN_ORDER_GROUPS = [

@@ -5,141 +5,136 @@ from hypothesis import given, settings, strategies as st
 
 from blocksift.corpus import build, parse_spec
 from blocksift.perm import Permutation
-from blocksift.words import Atom, ElementStore, Word, cube_set_image, deep_cube_orbit
+from blocksift.words import Word, cube_set_image, deep_cube_orbit
 from conftest import enumerate_cube, perm, relabel
 
 
 @pytest.fixture
-def store4():
-    s = ElementStore(4)
-    x = s.add(perm(4, (0, 1, 2, 3)))
-    y = s.add(perm(4, (0, 2), (1, 3)))
-    return s, x, y
+def four():
+    return perm(4, (0, 1, 2, 3)), perm(4, (0, 2), (1, 3))
+
+
+def same_letters(word, letters):
+    """The word's letters are exactly these objects, in this order."""
+    return len(word.letters) == len(letters) and all(
+        a is b for a, b in zip(word.letters, letters)
+    )
 
 
 class TestWordApply:
     def test_empty_is_identity(self):
-        s = ElementStore(8)
-        assert Word(s).apply(7) == 7
+        assert Word(8).apply(7) == 7
 
-    def test_square_of_cycle(self, store4):
-        s, x, _ = store4
-        w = Word(s, [Atom(x), Atom(x)])
-        assert w.apply(0) == 2
+    def test_square_of_cycle(self, four):
+        x, _ = four
+        assert Word(4, [x, x]).apply(0) == 2
 
-    def test_inverted_atom(self, store4):
-        s, x, _ = store4
-        assert Word(s, [Atom(x, inverted=True)]).apply(0) == 3
-
-
-    def test_letters_must_name_stored_elements(self, store4):
-        s, *_ = store4
-        with pytest.raises(ValueError):
-            Atom(-1)
-        with pytest.raises(IndexError):
-            Word(s, [Atom(2)]).apply(0)
-        with pytest.raises(IndexError):
-            Word(s, [Atom(2, inverted=True)]).eval()
+    def test_inverted_letter(self, four):
+        x, _ = four
+        assert Word(4, [x.inverse()]).apply(0) == 3
 
 
 class TestWordEval:
     def test_empty(self):
-        s = ElementStore(3)
-        assert Word(s).eval().is_identity()
+        assert Word(3).eval().is_identity()
 
-    def test_singleton(self, store4):
-        s, x, _ = store4
-        assert Word(s, [Atom(x)]).eval() == s.perm(x)
+    def test_singleton(self, four):
+        x, _ = four
+        assert Word(4, [x]).eval() == x
 
-    def test_cancellation(self, store4):
-        s, x, _ = store4
-        assert Word(s, [Atom(x), Atom(x, True)]).eval().is_identity()
+    def test_cancellation(self, four):
+        x, _ = four
+        assert Word(4, [x, x.inverse()]).eval().is_identity()
 
     @given(st.lists(st.tuples(st.integers(0, 1), st.booleans()), max_size=6))
     def test_matches_pointwise_apply(self, spec):
-        s = ElementStore(4)
-        s.add(perm(4, (0, 1, 2, 3)))
-        s.add(perm(4, (1, 3)))
-        w = Word(s, [Atom(i, inv) for i, inv in spec])
+        elems = [perm(4, (0, 1, 2, 3)), perm(4, (1, 3))]
+        w = Word(4, [elems[i].inverse() if inv else elems[i] for i, inv in spec])
         g = w.eval()
         assert all(w.apply(p) == g.apply(p) for p in range(4))
 
 
 class TestCubeSetImage:
     def test_empty_cube(self):
-        s = ElementStore(5)
-        pts, wit = cube_set_image(Word(s), [3])
+        pts, wit = cube_set_image(Word(5), [3])
         assert pts == [3]
         assert len(wit.word(3)) == 0 and wit.word(3).apply(3) == 3
 
-    def test_single_factor(self, store4):
-        s, x, _ = store4
-        pts, wit = cube_set_image(Word(s, [Atom(x)]), [0])
+    def test_single_factor(self, four):
+        x, _ = four
+        pts, wit = cube_set_image(Word(4, [x]), [0])
         assert set(pts) == {0, 1}
-        assert wit.word(1).atoms == (Atom(x),) and wit.word(1).apply(0) == 1
+        assert same_letters(wit.word(1), [x]) and wit.word(1).apply(0) == 1
 
-    def test_two_factors_cover(self, store4):
-        s, x, y = store4
-        pts, _ = cube_set_image(Word(s, [Atom(x), Atom(y)]), [0])
+    def test_two_factors_cover(self, four):
+        x, y = four
+        pts, _ = cube_set_image(Word(4, [x, y]), [0])
         assert set(pts) == {0, 1, 2, 3}
 
-    def test_empty_delta_rejected(self, store4):
-        s, *_ = store4
+    def test_empty_delta_rejected(self):
         with pytest.raises(ValueError):
-            cube_set_image(Word(s), [])
+            cube_set_image(Word(4), [])
 
-    def test_witness_contract(self, store4):
+    def test_witness_contract(self, four):
         # every output point: word over an index-ordered subsequence of X,
         # length <= |X|, mapping its source point to it
-        s, x, y = store4
-        cube = Word(s, [Atom(x), Atom(y), Atom(x)])
-        pts, wit = cube_set_image(cube, [0, 2])
-        _, ref = reference_cube_set_image(s, cube.atoms, [0, 2])
+        x, y = four
+        spec = [(x, False), (y, False), (x, False)]
+        pts, wit = cube_set_image(word_of(4, spec), [0, 2])
+        _, ref = reference_cube_set_image(spec, [0, 2])
         for p in pts:
             src, letters = ref[p]
             w = wit.word(p)
             assert src in (0, 2)
-            assert len(w) <= len(cube)
-            assert w.atoms == letters and w.apply(src) == p
+            assert len(w) <= len(spec)
+            assert same_letters(w, letters) and w.apply(src) == p
 
 
-def _letter_images(store, atom):
-    """One letter's image tuple, inverted here from the stored permutation."""
-    images = store.perm(atom.elem).images
-    if not atom.inverted:
-        return images
-    inv = [0] * len(images)
-    for p, q in enumerate(images):
+def _letter(g, inverted):
+    return g.inverse() if inverted else g
+
+
+def word_of(n, spec):
+    """The word of (permutation, inverted) letters."""
+    return Word(n, [_letter(g, inv) for g, inv in spec])
+
+
+def _letter_images(g, inverted):
+    """One letter's image tuple, inverted here from the permutation."""
+    if not inverted:
+        return g.images
+    inv = [0] * len(g.images)
+    for p, q in enumerate(g.images):
         inv[q] = p
     return tuple(inv)
 
 
-def reference_cube_set_image(store, atoms, delta):
+def reference_cube_set_image(spec, delta):
     """Dict-based expansion: point -> (source, letters), first discovery
     wins, and every letter is applied (no stop at saturation)."""
     entries = {}
     for p in delta:
         entries.setdefault(p, (p, ()))
     order = list(entries)
-    for atom in atoms:
-        images = _letter_images(store, atom)
+    for g, inverted in spec:
+        images = _letter_images(g, inverted)
         for p in list(order):
             q = images[p]
             if q not in entries:
                 src, letters = entries[p]
-                entries[q] = (src, letters + (atom,))
+                entries[q] = (src, letters + (_letter(g, inverted),))
                 order.append(q)
     return order, entries
 
 
-def assert_matches_reference(store, atoms, delta):
-    pts, wit = cube_set_image(Word(store, atoms), delta)
-    ref_order, ref = reference_cube_set_image(store, atoms, delta)
+def assert_matches_reference(n, spec, delta):
+    pts, wit = cube_set_image(word_of(n, spec), delta)
+    ref_order, ref = reference_cube_set_image(spec, delta)
     assert pts == ref_order
     assert wit.points == ref_order and len(wit.points) == len(ref)
     for p in pts:
         src, letters = ref[p]
-        assert wit.word(p).atoms == letters
+        assert same_letters(wit.word(p), letters)
         assert wit.word(p).apply(src) == p
     return pts
 
@@ -153,35 +148,30 @@ SMALL_SPECS = [
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_cube_set_image_matches_dict_reference(data):
-    spec = data.draw(st.sampled_from(SMALL_SPECS))
+    name = data.draw(st.sampled_from(SMALL_SPECS))
     rng = random.Random(data.draw(st.integers(0, 2**16)))
-    gens = relabel(build(parse_spec(spec)), rng, extra=1)
+    gens = relabel(build(parse_spec(name)), rng, extra=1)
     n = gens.degree
-    store = ElementStore(n)
-    elems = [store.add(g) for g in gens.generators]
-    letter = st.builds(Atom, st.sampled_from(elems), st.booleans())
-    atoms = data.draw(st.lists(letter, max_size=8))
+    elems = gens.generators
+    letter = st.tuples(st.sampled_from(elems), st.booleans())
+    spec = data.draw(st.lists(letter, max_size=8))
     delta = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4))
-    assert_matches_reference(store, atoms, delta)
+    assert_matches_reference(n, spec, delta)
     # n rounds of every generator saturate a transitive group's cube; the
     # letters after saturation must change nothing
-    rounds = [Atom(e, inv) for _ in range(n) for e in elems for inv in (False, True)]
-    assert len(assert_matches_reference(store, rounds, delta)) == n
+    rounds = [(g, inv) for _ in range(n) for g in elems for inv in (False, True)]
+    assert len(assert_matches_reference(n, rounds, delta)) == n
 
 
-def test_saturated_expansion_matches_reference():
+def test_saturated_expansion_matches_reference(four):
     # all 4 points are held after two letters; the other three add nothing
-    s = ElementStore(4)
-    x = s.add(perm(4, (0, 1, 2, 3)))
-    y = s.add(perm(4, (0, 2), (1, 3)))
-    atoms = [Atom(x), Atom(y), Atom(x, True), Atom(y), Atom(x)]
-    assert sorted(assert_matches_reference(s, atoms, [0])) == [0, 1, 2, 3]
+    x, y = four
+    spec = [(x, False), (y, False), (x, True), (y, False), (x, False)]
+    assert sorted(assert_matches_reference(4, spec, [0])) == [0, 1, 2, 3]
 
 
 def test_witness_map_rejects_unheld_points():
-    s = ElementStore(4)
-    x = s.add(perm(4, (0, 1)))
-    _, wit = cube_set_image(Word(s, [Atom(x)]), [0])
+    _, wit = cube_set_image(Word(4, [perm(4, (0, 1))]), [0])
     assert 2 not in wit and -1 not in wit and 4 not in wit
     for p in (2, -1, 4):
         with pytest.raises(KeyError):
@@ -190,23 +180,20 @@ def test_witness_map_rejects_unheld_points():
 
 class TestCubeInverseList:
     def test_empty(self):
-        s = ElementStore(3)
-        assert Word(s).inverse_word().atoms == ()
+        assert Word(3).inverse_word().letters == ()
 
-    def test_reverses_and_inverts(self, store4):
-        s, x, y = store4
-        inv = Word(s, [Atom(x), Atom(y)]).inverse_word()
-        assert inv.atoms == (Atom(y, True), Atom(x, True))
+    def test_reverses_and_inverts(self, four):
+        x, y = four
+        inv = Word(4, [x, y]).inverse_word()
+        assert same_letters(inv, [y.inverse(), x.inverse()])
+        assert same_letters(inv.inverse_word(), [x, y])  # the very same objects
 
     def test_involution_agrees(self):
-        s = ElementStore(4)
-        x = s.add(perm(4, (0, 1), (2, 3)))
-        inv = Word(s, [Atom(x)]).inverse_word()
-        assert inv.eval() == Word(s, [Atom(x)]).eval()
+        x = perm(4, (0, 1), (2, 3))
+        assert Word(4, [x]).inverse_word().eval() == Word(4, [x]).eval()
 
-    def test_cube_of_inverse_is_inverse_cube(self, store4):
-        s, x, y = store4
-        xs = [s.perm(x), s.perm(y)]
+    def test_cube_of_inverse_is_inverse_cube(self, four):
+        xs = list(four)
         forward = enumerate_cube(xs)
         backward = enumerate_cube([p.inverse() for p in reversed(xs)])
         assert {g.inverse() for g in forward} == backward
@@ -214,22 +201,19 @@ class TestCubeInverseList:
 
 class TestDeepCubeOrbit:
     def test_empty(self):
-        s = ElementStore(4)
-        pts, rmap = deep_cube_orbit(Word(s), 0)
+        pts, rmap = deep_cube_orbit(Word(4), 0)
         assert pts == [0] and len(rmap.word(0)) == 0
 
     def test_transposition(self):
-        s = ElementStore(2)
-        x = s.add(perm(2, (0, 1)))
-        pts, _ = deep_cube_orbit(Word(s, [Atom(x)]), 0)
+        pts, _ = deep_cube_orbit(Word(2, [perm(2, (0, 1))]), 0)
         assert set(pts) == {0, 1}
 
-    def test_four_cycle_brute_force(self, store4):
+    def test_four_cycle_brute_force(self, four):
         # oracle: images of 0 under all four products e, x, x^-1, x^-1 x
-        s, x, _ = store4
-        oracle = {g.apply(0) for g in enumerate_cube([s.perm(x).inverse(), s.perm(x)])}
+        x, _ = four
+        oracle = {g.apply(0) for g in enumerate_cube([x.inverse(), x])}
         assert oracle == {0, 1, 3}
-        pts, rmap = deep_cube_orbit(Word(s, [Atom(x)]), 0)
+        pts, rmap = deep_cube_orbit(Word(4, [x]), 0)
         assert set(pts) == oracle
         for p in pts:
             w = rmap.word(p)
@@ -243,15 +227,13 @@ def test_tracked_doubling_matches_brute_force(data):
     # then give exactly |Delta| distinct images of the root point
     n = data.draw(st.integers(4, 10))
     root = 0
-    s = ElementStore(n)
-    cube_atoms = []
+    cube = []
     delta = {root}
     for _ in range(data.draw(st.integers(1, 3))):
         g = Permutation(data.draw(st.permutations(list(range(n)))))
         if {g.images[p] for p in delta}.isdisjoint(delta):
-            idx = s.add(g)
-            cube_atoms.append(Atom(idx))
+            cube.append(g)
             delta |= {g.images[p] for p in delta}
-    assert len(delta) == 2 ** len(cube_atoms)
-    images = {g.apply(root) for g in enumerate_cube([s.perm(a.elem) for a in cube_atoms])}
+    assert len(delta) == 2 ** len(cube)
+    images = {g.apply(root) for g in enumerate_cube(cube)}
     assert images == delta

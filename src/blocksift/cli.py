@@ -35,7 +35,8 @@ class InputError(Exception):
     pass
 
 
-def _read_gens(args) -> GeneratorSet:
+def _read_gens(args, transitive: bool = True) -> GeneratorSet:
+    """The input generators; see ``parse_generators`` for ``transitive``."""
     if args.infile:
         try:
             with open(args.infile) as fh:
@@ -45,7 +46,7 @@ def _read_gens(args) -> GeneratorSet:
     else:
         text = sys.stdin.read()
     try:
-        return parse_generators(text)
+        return parse_generators(text, transitive)
     except ParseError as exc:
         raise InputError(f"parse error: {exc}") from exc
     except ValueError as exc:
@@ -123,7 +124,7 @@ def _cmd_minblock(args) -> int:
 def _cmd_sift_trace(args) -> int:
     from .transversal import build_point_transversal
 
-    gens = _read_gens(args)
+    gens = _read_gens(args, transitive=False)
     cap = args.cap if args.cap is not None else gens.degree
     if cap < 1:
         raise InputError("cap must be at least 1")

@@ -76,7 +76,7 @@ class _Scanner:
         return int(text)
 
 
-def _parse_cycles(text: str) -> GeneratorSet:
+def _parse_cycles(text: str, transitive: bool) -> GeneratorSet:
     sc = _Scanner(text)
     sc.skip_space()
     declared = None
@@ -95,6 +95,7 @@ def _parse_cycles(text: str) -> GeneratorSet:
             raise sc.error("expected ';' after degree header")
         sc.advance()
     raw_gens: list[list[list[int]]] = []
+    named: set[int] = set()
     max_point = 0
     while True:
         sc.skip_space()
@@ -129,6 +130,7 @@ def _parse_cycles(text: str) -> GeneratorSet:
             if cyc:
                 cycles.append(cyc)
         raw_gens.append(cycles)
+        named |= used
     if not raw_gens:
         raise sc.error("no generators found")
     degree = declared if declared is not None else max_point
@@ -136,6 +138,10 @@ def _parse_cycles(text: str) -> GeneratorSet:
         raise sc.error("cannot infer a positive degree")
     if max_point > degree:
         raise sc.error(f"point {max_point} exceeds declared degree {degree}")
+    if transitive and degree > 1 and len(named) < degree:
+        # one of the first len(named) + 1 points is named by no cycle
+        fixed = next(p for p in range(1, degree + 1) if p not in named)
+        raise ValueError(f"point {fixed} is fixed by every generator, so the group is intransitive")
     gens = [
         Permutation.from_cycles(degree, [[p - 1 for p in c] for c in cycles])
         for cycles in raw_gens
@@ -171,12 +177,20 @@ def _parse_json(text: str) -> GeneratorSet:
         raise ParseError(str(exc), 1, 1) from exc
 
 
-def parse_generators(text: str) -> GeneratorSet:
-    """Parse either supported format (JSON detected by a leading '{')."""
+def parse_generators(text: str, transitive: bool = False) -> GeneratorSet:
+    """Parse either supported format (JSON detected by a leading '{').
+
+    With ``transitive``, cycle text of degree above 1 that names fewer
+    points than its degree (a header ``n=`` above the largest point named,
+    say) is a ``ValueError`` before any permutation is built: a point no
+    cycle names is fixed by every generator, so the group is intransitive,
+    and a huge declared degree allocates nothing. JSON input holds every
+    image, so its size is the size of the text.
+    """
     stripped = text.lstrip()
     if stripped.startswith("{"):
         return _parse_json(text)
-    return _parse_cycles(text)
+    return _parse_cycles(text, transitive)
 
 
 def emit_generators(gens: GeneratorSet, fmt: str = "json") -> str:

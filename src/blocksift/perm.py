@@ -241,6 +241,18 @@ def orbit(
     arrays = [g.images for g in perms]
     if cells is not None:
         return _cell_closure(arrays, start, limit, cells)
+    if len(arrays) == 1:
+        # one permutation: the closure is its cycle through start, walked
+        # in the same order without a degree-sized seen array
+        arr = arrays[0]
+        out = [start]
+        p = arr[start]
+        while p != start:
+            out.append(p)
+            if len(out) > limit:
+                return out
+            p = arr[p]
+        return out
     seen = bytearray(degree)
     seen[start] = 1
     out = [start]

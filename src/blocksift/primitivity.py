@@ -8,6 +8,8 @@ points, p the smallest prime factor of n, lies in no proper block: one
 whose H-orbit alone is that large is dropped unclosed, and the others are
 closed one H-orbit at a time and skipped once they pass n/p. At prime
 degree n/p = 1, so the answer is ``primitive`` before anything is built.
+While H is still trivial, a block is also tried during the point
+transversal build, after each sift that grows the first level.
 The front ends pick the cap (5 log n, (9/2) n^(1/3), or n) and handle the
 certificate fallback.
 """
@@ -23,7 +25,7 @@ from .blocks import BlockSystem, InternalError, blockness_test
 # the name stays ``minimal_block``, where the benchmark's tracer wraps it
 from .blocks import _minimal_block_unchecked as minimal_block
 from .perm import GeneratorSet, Orbits, is_transitive, orbit
-from .sift import Certificate, SiftState
+from .sift import Certificate, SiftOutcome, SiftState
 from .transversal import build_point_transversal, build_scoped_transversal
 
 VerdictKind = Literal[
@@ -46,6 +48,10 @@ class Diagnostics:
     candidates_closed: int = 0
     # blockness tests run; candidates that close past n/p are not counted
     candidates_tested: int = 0
+    # closures and blockness tests run during the point transversal build,
+    # counted apart from the scan's
+    early_tries: int = 0
+    early_tests: int = 0
     sum_xi: int = 0
     # (before, after) of sum over levels >= 2, one pair per H-update
     h_update_growth: list[tuple[int, int]] = field(default_factory=list)
@@ -56,6 +62,8 @@ class Diagnostics:
             "h_updates": self.h_updates,
             "candidates_closed": self.candidates_closed,
             "candidates_tested": self.candidates_tested,
+            "early_tries": self.early_tries,
+            "early_tests": self.early_tests,
             "sum_xi": self.sum_xi,
             "h_update_growth": [[before, after] for before, after in self.h_update_growth],
         }
@@ -91,6 +99,16 @@ def ss_primitivity(gens: GeneratorSet, cap: int) -> Verdict:
     whatever the cap. Every capped route (point transversal, scoped
     transversal, H-update sift) leaves the loop for the one partial-base
     exit at its end.
+
+    While the state has one level, H = <X_2*> is trivial, and the scan's
+    candidate for r is alpha^<r>, the cycle of r through alpha. So after
+    each sift that appends an element x to the first level, the build
+    closes alpha^<x> and, if it has at most n/p points and its blockness
+    test makes at most |Delta_1| translate checks ((n / |delta|) |S| of
+    them), runs the test. A block ends the build with the verdict, which
+    the test has already checked. A miss changes no state: the closure
+    and the test only read the generators, so primitive verdicts, r-words
+    and H-updates are those of a build without tries.
     """
     n = gens.degree
     if cap < 1:
@@ -104,8 +122,25 @@ def ss_primitivity(gens: GeneratorSet, cap: int) -> Verdict:
         return Verdict("primitive")
     diag = Diagnostics()
     alpha = 0
+    found: list[BlockSystem] = []
 
-    state, rmap = build_point_transversal(gens, alpha, cap)
+    def try_block(state: SiftState, outcome: SiftOutcome) -> bool:
+        if outcome.kind != "appended" or state.level_count > 1:
+            return False
+        diag.early_tries += 1
+        delta = orbit([outcome.terminal], alpha, dmax)
+        if len(delta) > dmax or (n // len(delta)) * len(gens) > len(state.levels[0].delta):
+            return False
+        diag.early_tests += 1
+        res = blockness_test(gens, delta, alpha)
+        if res.kind != "is_block":
+            return False
+        found.append(res.system)
+        return True
+
+    state, rmap = build_point_transversal(gens, alpha, cap, try_block)
+    if found:
+        return _finish(Verdict("blocks", blocks=found[0]), diag, state)
     while not state.capped:
         hgens = state.deep_element_perms()
         # the candidate is a union of H-orbits: close it one whole H-orbit

@@ -23,14 +23,15 @@ from .words import WitnessMap
 def _close_transversal(
     state: SiftState,
     gens: list[Permutation],
-    on_sift: Callable[[SiftState, SiftOutcome], None] | None = None,
+    on_sift: Callable[[SiftState, SiftOutcome], object] | None = None,
 ) -> WitnessMap | None:
     """Shared queue loop: close the level-1 deep orbit under ``gens``.
 
     Each (orbit point, generator) pair is visited exactly once, in the
     order the points entered the orbit and then generator order, so the
     queue is the list of points in entry order. Returns the r-words on
-    closure, or None the moment the state passes its cap.
+    closure, or None the moment the state passes its cap or ``on_sift``,
+    called after every sift, returns a truthy value.
     """
     arrays = [g.images for g in gens]
     omega, rmap = state.level_deep_orbit(1)
@@ -44,9 +45,7 @@ def _close_transversal(
                 continue
             elem = rmap.word(lam).eval() * gens[si]
             outcome = state.deep_sift(elem)
-            if on_sift is not None:
-                on_sift(state, outcome)
-            if state.capped:
+            if (on_sift is not None and on_sift(state, outcome)) or state.capped:
                 return None
             omega, rmap = state.level_deep_orbit(1)
             for p in omega:
@@ -60,9 +59,10 @@ def build_point_transversal(
     gens: GeneratorSet,
     alpha: int,
     cap: int,
-    on_sift: Callable[[SiftState, SiftOutcome], None] | None = None,
+    on_sift: Callable[[SiftState, SiftOutcome], object] | None = None,
 ) -> tuple[SiftState, WitnessMap | None]:
-    """Transversal words for G : G_alpha, or None once the state is capped.
+    """Transversal words for G : G_alpha, or None once the state is capped
+    or once ``on_sift`` returns a truthy value, which stops the walk.
 
     The r-words cover alpha^G, in discovery order, whether or not G is
     transitive. A capped state certifies a partial base of size cap+1.

@@ -32,8 +32,13 @@ class TestPrimitive:
         assert doc["verdict"] == "blocks"
         assert sorted(len(b) for b in doc["blocks"]) in ([2, 2, 2], [3, 3])
         assert {
-            "sifts", "h_updates", "candidates_closed", "candidates_tested", "sum_xi"
-        } <= set(doc["diagnostics"])
+            "sifts", "h_updates", "candidates_closed", "candidates_tested",
+            "early_tries", "early_tests", "sum_xi", "h_update_growth",
+        } == set(doc["diagnostics"])
+        # C6's first level-1 append is the square of the 6-cycle, whose
+        # cycle through 0 is a block: the build answers before the scan
+        diag = doc["diagnostics"]
+        assert (diag["early_tries"], diag["early_tests"], diag["candidates_tested"]) == (1, 1, 0)
         assert doc["time_ms"] >= 0
 
     def test_primitive_verdict(self, capsys, monkeypatch):
@@ -108,6 +113,22 @@ class TestPrimitive:
         for text in ("n=99999999999999999999999; (1 2)", "(1 99999999999999999999999)"):
             code, out, err = run(capsys, monkeypatch, ["primitive"], stdin=text)
             assert code == 2 and out == "" and "parse error" in err, text
+
+    @pytest.mark.parametrize("command", [["primitive"], ["baseline"], ["minblock", "--seed", "0,1"]])
+    @pytest.mark.parametrize("text", ["n=9223372036854775807; (1 2)", "n=1000; (1 2 3)"])
+    def test_declared_degree_above_points_named_exits_2(
+        self, capsys, monkeypatch, command, text
+    ):
+        # a point no cycle names is fixed, so the group is intransitive; it
+        # is rejected before any permutation of the declared degree is built
+        built = []
+        monkeypatch.setattr(
+            blocksift.perm.Permutation, "from_cycles",
+            classmethod(lambda cls, n, cycles: built.append(n)),
+        )
+        code, out, err = run(capsys, monkeypatch, command, stdin=text)
+        assert code == 2 and out == "" and "intransitive" in err
+        assert built == []
 
     @pytest.mark.parametrize("flags", [
         ["--uncapped", "--cap", "1", "--law", "five-thirds"],

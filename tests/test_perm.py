@@ -91,6 +91,13 @@ class TestOrbitLimit:
         for limit in range(1, len(full)):
             assert orbit(gens, 3, limit) == full[: limit + 1]
 
+    def test_single_permutation_walks_its_cycle(self):
+        g = perm(10, (0, 4, 7), (1, 2))
+        assert orbit([g], 4) == [4, 7, 0]
+        assert orbit([g], 4, 2) == [4, 7, 0]
+        assert orbit([g], 4, 1) == [4, 7]
+        assert orbit([g], 3) == [3]
+
     def test_whole_orbit_within_limit(self):
         gens = [perm(12, (0, 1, 2, 3)), perm(12, (2, 5))]
         full = orbit(gens, 0)

@@ -1,5 +1,7 @@
+import hashlib
 import io
 import json
+import math
 import random
 
 import pytest
@@ -194,21 +196,21 @@ class TestPartialBaseExit:
         [
             pytest.param(
                 lambda: build(parse_spec("symmetric(4)")), 1, "point", [0, 1],
-                (1, 0, 0, 0, 2, []), id="S4-point",
+                (1, 0, 0, 0, 0, 0, 2, []), id="S4-point",
             ),
             pytest.param(
                 lambda: build(parse_spec("subsets(6,2)")), 3, "h_update", [0, 1, 6, 3],
-                (4, 0, 1, 1, 5, []), id="subsets(6,2)-h_update",
+                (4, 0, 1, 1, 0, 0, 5, []), id="subsets(6,2)-h_update",
             ),
             pytest.param(
                 lambda: relabel(build(parse_spec("subsets(9,3)")), random.Random(3)),
                 2, "scoped", [0, 1, 2],
-                (7, 0, 2, 1, 8, []), id="subsets(9,3)-3-scoped",
+                (7, 0, 2, 1, 2, 0, 8, []), id="subsets(9,3)-3-scoped",
             ),
             pytest.param(
                 lambda: relabel(build(parse_spec("subsets(12,2)")), random.Random(9)),
                 3, "scoped", [0, 2, 9, 15],
-                (9, 1, 4, 2, 8, [[2, 3]]), id="subsets(12,2)-9-scoped",
+                (9, 1, 4, 2, 2, 0, 8, [[2, 3]]), id="subsets(12,2)-9-scoped",
             ),
         ],
     )
@@ -222,7 +224,7 @@ class TestPartialBaseExit:
         assert len(v.certificate) == cap + 1 and v.certificate.validate()
         assert [beta for beta, _ in v.certificate.entries] == base
         keys = ("sifts", "h_updates", "candidates_closed", "candidates_tested",
-                "sum_xi", "h_update_growth")
+                "early_tries", "early_tests", "sum_xi", "h_update_growth")
         assert v.diagnostics.as_dict() == dict(zip(keys, diag))
 
     def test_prime_degree_never_reaches_the_exit(self):
@@ -241,6 +243,8 @@ class TestDiagnostics:
             "h_updates",
             "candidates_closed",
             "candidates_tested",
+            "early_tries",
+            "early_tests",
             "sum_xi",
             "h_update_growth",
         }
@@ -461,3 +465,129 @@ def test_candidates_close_over_evaluated_r(monkeypatch, spec):
         assert type(r) is Permutation and r is last_closed
     if spec == "subsets(6,2)":
         assert scoped  # failed blockness tests reach the scoped transversal
+
+
+def test_primitive_counters_pinned(full_corpus):
+    # Tries during the build change no state when they miss, so every
+    # primitive verdict keeps the sifts, H-updates and scan counts of the
+    # driver without them. The digest was recorded from that driver, over
+    # the corpus and one relabelled copy of each group with two extra
+    # generators.
+    rows = []
+    for entry in full_corpus:
+        for copy in range(2):
+            gens = entry.gens if copy == 0 else relabel(entry.gens, random.Random(entry.name), 2)
+            for driver in DRIVERS:
+                v = driver(gens)
+                if v.kind == "primitive":
+                    d = v.diagnostics
+                    rows.append([entry.name, copy, driver.__name__, d.sifts, d.h_updates,
+                                 d.candidates_closed, d.candidates_tested])
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    assert len(rows) == 162
+    assert digest == "2c696d62eec3e9b1bb8ef47ce3f4c6577c21d94745d71f4c8de33f2f97322f22"
+
+
+DIFFERENTIAL_CAPS = 4
+DIFFERENTIAL_FAMILIES = {
+    "cyclic": [f"cyclic({2 ** k})" for k in range(2, 10)],
+    "dihedral": [f"dihedral({2 ** k})" for k in range(2, 10)],
+    "wreath": [
+        "wreath(cyclic(2),2)", "wreath(cyclic(3),2)", "wreath(cyclic(2),8)",
+        "wreath(symmetric(3),3)", "wreath(symmetric(4),2)", "wreath(dihedral(4),4)",
+        "wreath(alternating(5),2)", "wreath(cyclic(16),4)",
+    ],
+    "primitive": [
+        "symmetric(6)", "alternating(7)", "subsets(7,2)", "subsets(10,2)",
+        "product(3,2)", "cyclic(31)", "dihedral(37)", "m24",
+    ],
+}
+
+
+@pytest.mark.parametrize("family", sorted(DIFFERENTIAL_FAMILIES))
+def test_entry_points_match_the_baseline(family):
+    # Relabelled groups with two extra random-word generators, decided by
+    # every entry point and at caps 1..DIFFERENTIAL_CAPS by the capped loop
+    # alone and with the certificate fallback.
+    from_build = 0
+    for spec in DIFFERENTIAL_FAMILIES[family]:
+        for seed in range(3):
+            gens = relabel(build(parse_spec(spec)), random.Random(f"{spec}/{seed}"), 2)
+            oracle = atkinson_baseline(gens)
+            runs = [(driver.__name__, driver(gens)) for driver in DRIVERS]
+            for cap in range(1, DIFFERENTIAL_CAPS + 1):
+                runs.append((f"ss_primitivity/{cap}", ss_primitivity(gens, cap)))
+                runs.append(
+                    (f"capped/{cap}", primitivity._capped_driver(gens, cap, "partial_base"))
+                )
+            for name, v in runs:
+                where = (spec, seed, name)
+                if v.kind == "partial_base":
+                    assert "/" in name and v.certificate.validate(), where
+                    continue
+                assert (v.kind == "primitive") == (oracle is None), where
+                d = v.diagnostics
+                if v.kind == "blocks":
+                    assert v.blocks.nontrivial, where
+                    assert validate_block_system(gens, v.blocks), where
+                    from_build += d.early_tests > 0 and d.candidates_tested == 0
+                else:
+                    assert d.early_tests <= d.early_tries, where
+    if family in ("cyclic", "dihedral"):
+        assert from_build > 0
+
+
+def test_smallest_escaping_subsets_group():
+    # S_87 on 2-subsets (degree 3741) is primitive, and the smallest
+    # subsets(m,2) with 81 <= m <= 100 that primitivity_main does not
+    # decide: the capped loop passes its cap and no certificate entry
+    # seeds a proper block. The family's verdict is the oracle, since the
+    # baseline is quadratic here.
+    gens = build(parse_spec("subsets(87,2)"))
+    cap = math.ceil(5 * math.log2(gens.degree))
+    v = primitivity_main(gens)
+    assert v.kind == "all_primitive_actions_large" and v.blocks is None
+    assert len(v.certificate) == cap + 1 and v.certificate.validate()
+    assert find_blocks_from_certificate(gens, v.certificate) is None
+    assert ss_uncapped(gens).kind == "primitive"
+    assert primitivity_main(build(parse_spec("subsets(86,2)"))).kind == "primitive"
+
+
+def test_missed_tries_leave_the_state_alone(monkeypatch, full_corpus):
+    # The driver's own hook, wrapped: every try that answers False must
+    # leave the sift state exactly as it found it, failed blockness tests
+    # included.
+    failed = []  # one entry per failed blockness test
+    failed_in_misses = 0
+    real_test = primitivity.blockness_test
+
+    def recording_test(*args):
+        res = real_test(*args)
+        if res.kind != "is_block":
+            failed.append(args)
+        return res
+
+    def checked_transversal(gens, alpha, cap, on_sift):
+        def hook(state, outcome):
+            nonlocal failed_in_misses
+            before, failures = state.debug_dump(), len(failed)
+            hit = on_sift(state, outcome)
+            if not hit:
+                assert state.debug_dump() == before
+                failed_in_misses += len(failed) - failures
+            return hit
+
+        return build_point_transversal(gens, alpha, cap, hook)
+
+    monkeypatch.setattr(primitivity, "blockness_test", recording_test)
+    monkeypatch.setattr(primitivity, "build_point_transversal", checked_transversal)
+    groups = [e.gens for e in full_corpus if e.gens.degree <= 256]
+    groups += [
+        relabel(build(parse_spec(spec)), random.Random(f"{spec}/{seed}"), 2)
+        for spec in ("cyclic(64)", "dihedral(64)", "dihedral(256)", "subsets(10,2)")
+        for seed in range(4)
+    ]
+    for gens in groups:
+        for driver in DRIVERS:
+            driver(gens)
+    assert failed_in_misses > 0

@@ -3,10 +3,11 @@ import random
 
 import pytest
 
+from blocksift.corpus import standard_corpus
 from blocksift.perm import GeneratorSet, Permutation, orbit
 from blocksift.sift import SiftState
 from blocksift.transversal import build_point_transversal, build_scoped_transversal
-from conftest import perm, random_element
+from conftest import perm, random_element, relabel
 
 
 class TestBuildPointTransversal:
@@ -50,6 +51,43 @@ class TestBuildPointTransversal:
         _, rmap = build_point_transversal(gens, 0, 6)
         images = {rmap.word(p).eval().apply(0) for p in rmap.points}
         assert images == set(rmap.points)  # one representative per orbit point
+
+
+    def test_truthy_hook_stops_the_walk(self):
+        gens = GeneratorSet(8, [perm(8, (0, 1, 2, 3, 4, 5, 6, 7))])
+        calls = []
+        state, rmap = build_point_transversal(
+            gens, 0, 8, lambda state, outcome: calls.append(outcome.kind) or True
+        )
+        assert rmap is None and not state.capped
+        assert calls == ["appended"] and state.sift_count == 1
+
+
+def _snapshot(state, rmap) -> tuple:
+    """Structure, r-word points and every r-word's letters as image tuples."""
+    words = [tuple(g.images for g in rmap.word(p).letters) for p in rmap.points]
+    return state.debug_dump(), rmap.points, words
+
+
+def test_missing_hook_changes_nothing():
+    # A hook that sees every sift and answers False leaves the walk as it
+    # is without a hook: same levels, same r-word points, same letters.
+    cases = 0
+    for entry in standard_corpus():
+        for copy in range(3):
+            gens = entry.gens if copy == 0 else relabel(
+                entry.gens, random.Random(f"{entry.name}/{copy}"), copy - 1
+            )
+            n = gens.degree
+            seen = []
+            plain = _snapshot(*build_point_transversal(gens, 0, n))
+            hooked = _snapshot(*build_point_transversal(
+                gens, 0, n, lambda state, outcome: seen.append(outcome) or False
+            ))
+            assert hooked == plain, (entry.name, copy)
+            assert len(seen) == plain[0]["sifts"], (entry.name, copy)
+            cases += 1
+    assert cases == 3 * len(standard_corpus())
 
 
 class TestBuildScopedTransversal:

@@ -10,10 +10,11 @@ the project-wide oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Literal
+from dataclasses import dataclass, field
+from functools import cached_property, partial
+from typing import Callable, Iterable, Literal
 
-from .perm import GeneratorSet, Permutation, is_transitive
+from .perm import GeneratorSet, Permutation, is_transitive, product_images
 
 
 class InternalError(RuntimeError):
@@ -83,9 +84,17 @@ class BlockWitness:
 
 @dataclass
 class BlocknessResult:
+    """A test's verdict. A failed test's witness is built on the first read
+    of ``witness``, so a caller that only wants the verdict never pays for
+    its products."""
+
     kind: Literal["is_block", "not_block"]
     system: BlockSystem | None = None
-    witness: BlockWitness | None = None
+    make_witness: Callable[[], BlockWitness] | None = field(default=None, repr=False)
+
+    @cached_property
+    def witness(self) -> BlockWitness | None:
+        return None if self.make_witness is None else self.make_witness()
 
 
 class _UnionFind:
@@ -151,7 +160,7 @@ def blockness_test(gens: GeneratorSet, delta: Iterable[int], alpha: int) -> Bloc
     ``atkinson_baseline`` and ``minimal_block`` do), and it is not checked
     again here. On success returns the assembled block system; on failure
     returns a witness g1 = w s w'^-1 built from the BFS parent paths of the
-    two conflicting translates.
+    two conflicting translates, when the result's ``witness`` is first read.
     """
     n = gens.degree
     delta = sorted(set(delta))
@@ -183,9 +192,7 @@ def blockness_test(gens: GeneratorSet, delta: Iterable[int], alpha: int) -> Bloc
                     continue  # translate coincides with an existing block
             return BlocknessResult(
                 "not_block",
-                witness=_build_witness(
-                    gens, delta, b, si, img, block_of, parent
-                ),
+                make_witness=partial(_build_witness, gens, delta, b, si, img, block_of, parent),
             )
     system = BlockSystem(n, block_of, [sorted(b) for b in blocks])
     return BlocknessResult("is_block", system=system)
@@ -217,10 +224,12 @@ def _build_witness(
     gen_word = [(g, False) for g in w] + [(si, False)] + [
         (g, True) for g in reversed(w2)
     ]
-    g1 = Permutation.identity(gens.degree)
+    images = None
     for gi, inv in gen_word:
         g = gens.generators[gi]
-        g1 = g1 * (g.inverse() if inv else g)
+        arr = (g.inverse() if inv else g).images
+        images = arr if images is None else product_images(images, arr)
+    g1 = Permutation.unchecked(images)
     dset = set(delta)
     beta = next(p for p in delta if g1.images[p] in dset)
     return BlockWitness(beta, g1.images[beta], g1, gen_word)

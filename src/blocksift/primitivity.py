@@ -9,7 +9,9 @@ whose H-orbit alone is that large is dropped unclosed, and the others are
 closed one H-orbit at a time and skipped once they pass n/p. At prime
 degree n/p = 1, so the answer is ``primitive`` before anything is built.
 While H is still trivial, a block is also tried during the point
-transversal build, after each sift that grows the first level.
+transversal build, after each sift that grows the first level: the cycle
+through alpha of the new element, then of its quotient by the element
+appended before it.
 The front ends pick the cap (5 log n, (9/2) n^(1/3), or n) and handle the
 certificate fallback.
 """
@@ -103,12 +105,23 @@ def ss_primitivity(gens: GeneratorSet, cap: int) -> Verdict:
     While the state has one level, H = <X_2*> is trivial, and the scan's
     candidate for r is alpha^<r>, the cycle of r through alpha. So after
     each sift that appends an element x to the first level, the build
-    closes alpha^<x> and, if it has at most n/p points and its blockness
-    test makes at most |Delta_1| translate checks ((n / |delta|) |S| of
-    them), runs the test. A block ends the build with the verdict, which
-    the test has already checked. A miss changes no state: the closure
-    and the test only read the generators, so primitive verdicts, r-words
-    and H-updates are those of a build without tries.
+    closes alpha^<x>; if that misses, it also closes alpha^<y^-1 x>, y the
+    element appended before x. (Two reflections of a dihedral group give
+    a rotation, whose cycle through alpha is a block.) A cycle is tested
+    only if it has at most n/p points, its size divides n, and its
+    blockness test makes at most |Delta_1| translate checks ((n / |delta|)
+    |S| of them, |S| the number of generators). A block ends the build
+    with the verdict, which the test has already checked. A miss changes
+    no state: the closures and the tests only read the generators, so
+    primitive verdicts, r-words and H-updates are those of a build
+    without tries.
+
+    Two filters drop tries that cannot answer:
+    - a cycle whose size does not divide n is no block, since the blocks
+      of a system partition the n points into cells of one size;
+    - when p |S| > |Delta_1| neither cycle is closed: a tested cycle has
+      at most n/p points, so its n / |delta| >= p translates per generator
+      make at least p |S| > |Delta_1| checks, past the budget.
     """
     n = gens.degree
     if cap < 1:
@@ -124,12 +137,13 @@ def ss_primitivity(gens: GeneratorSet, cap: int) -> Verdict:
     alpha = 0
     found: list[BlockSystem] = []
 
-    def try_block(state: SiftState, outcome: SiftOutcome) -> bool:
-        if outcome.kind != "appended" or state.level_count > 1:
-            return False
-        diag.early_tries += 1
-        delta = orbit([outcome.terminal], alpha, dmax)
-        if len(delta) > dmax or (n // len(delta)) * len(gens) > len(state.levels[0].delta):
+    # dmax = n/p, so p = n // dmax is the smallest prime factor of n
+    min_translates = (n // dmax) * len(gens)
+
+    def test_cycle(delta: list[int], tracked: int) -> bool:
+        size = len(delta)
+        # a quotient y^-1 x can fix alpha, and one point is no candidate
+        if not 1 < size <= dmax or n % size or (n // size) * len(gens) > tracked:
             return False
         diag.early_tests += 1
         res = blockness_test(gens, delta, alpha)
@@ -137,6 +151,33 @@ def ss_primitivity(gens: GeneratorSet, cap: int) -> Verdict:
             return False
         found.append(res.system)
         return True
+
+    def try_block(state: SiftState, outcome: SiftOutcome) -> bool:
+        if outcome.kind != "appended" or state.level_count > 1:
+            return False
+        first = state.levels[0]
+        tracked = len(first.delta)
+        if min_translates > tracked:
+            return False
+        x = outcome.terminal
+        diag.early_tries += 1
+        if test_cycle(orbit([x], alpha, dmax), tracked):
+            return True
+        if len(first.elems) < 2:
+            return False
+        # the cycle of r = y^-1 x through alpha, y the element appended
+        # before x, walked by lookups without building r; y^-1 is cached,
+        # since every level-1 deep-orbit rebuild inverts the level's elements
+        diag.early_tries += 1
+        ximg, yinv = x.images, first.elems[-2].inverse().images
+        delta = [alpha]
+        p = ximg[yinv[alpha]]
+        while p != alpha:
+            delta.append(p)
+            if len(delta) > dmax:
+                break
+            p = ximg[yinv[p]]
+        return test_cycle(delta, tracked)
 
     state, rmap = build_point_transversal(gens, alpha, cap, try_block)
     if found:

@@ -215,6 +215,7 @@ def test_criterion_6_fallback_path():
 
 def test_criterion_7_dihedral_scaling():
     times = {}
+    from_build = 0  # sizes whose verdict came from the build, not the scan
     for k in range(8, 17):
         n = 2 ** k
         gens = build(parse_spec(f"dihedral({n})"))
@@ -225,6 +226,8 @@ def test_criterion_7_dihedral_scaling():
             v = primitivity_main(gens)
             best = min(best, time.perf_counter() - t0)
             assert v.kind == "blocks"
+        d = v.diagnostics
+        from_build += d.early_tests > 0 and d.candidates_tested == 0
         times[n] = best
     worst = 0.0
     for k in range(8, 15):
@@ -235,7 +238,8 @@ def test_criterion_7_dihedral_scaling():
     report(
         7,
         ok,
-        f"dihedral t(4n)/t(n) worst ratio {worst:.2f} (gate 10); {table}",
+        f"dihedral t(4n)/t(n) worst ratio {worst:.2f} (gate 10); {table}; "
+        f"{from_build} of {len(times)} sizes answered from the build",
     )
 
 

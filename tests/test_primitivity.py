@@ -205,12 +205,12 @@ class TestPartialBaseExit:
             pytest.param(
                 lambda: relabel(build(parse_spec("subsets(9,3)")), random.Random(3)),
                 2, "scoped", [0, 1, 2],
-                (7, 0, 2, 1, 2, 0, 8, []), id="subsets(9,3)-3-scoped",
+                (7, 0, 2, 1, 4, 0, 8, []), id="subsets(9,3)-3-scoped",
             ),
             pytest.param(
                 lambda: relabel(build(parse_spec("subsets(12,2)")), random.Random(9)),
                 3, "scoped", [0, 2, 9, 15],
-                (9, 1, 4, 2, 2, 0, 8, [[2, 3]]), id="subsets(12,2)-9-scoped",
+                (9, 1, 4, 2, 4, 0, 8, [[2, 3]]), id="subsets(12,2)-9-scoped",
             ),
         ],
     )
@@ -535,6 +535,59 @@ def test_entry_points_match_the_baseline(family):
                     assert d.early_tests <= d.early_tries, where
     if family in ("cyclic", "dihedral"):
         assert from_build > 0
+
+
+@pytest.mark.parametrize("k", range(6, 15))
+def test_dihedral_groups_answer_from_the_build(k):
+    # Relabelled dihedral(2^k), with two extra random-word generators on odd
+    # seeds. Once the first level holds two reflections, their quotient is a
+    # rotation whose cycle through alpha is a block, so the build answers
+    # and the scan never runs.
+    spec = f"dihedral({2 ** k})"
+    for seed in range(6):
+        gens = relabel(build(parse_spec(spec)), random.Random(f"{spec}/{seed}"), 2 * (seed % 2))
+        v = primitivity_main(gens)
+        d = v.diagnostics
+        assert v.kind == "blocks" and validate_block_system(gens, v.blocks), seed
+        assert d.early_tests >= 1 and d.candidates_tested == 0, seed
+
+
+def test_build_time_tests_get_divisor_sized_candidates(monkeypatch, full_corpus):
+    # Block sizes divide the degree, so a build-time blockness test, which
+    # is run only for its hit, never gets a candidate of any other size, nor
+    # a single point: in relabelled subsets(5,2), seed 2, a quotient y^-1 x
+    # fixes alpha.
+    sizes = []  # (degree, candidate size) of each build-time test
+    in_build = False
+    real_test = primitivity.blockness_test
+    real_build = primitivity.build_point_transversal
+
+    def recording_test(gens, delta, alpha):
+        if in_build:
+            sizes.append((gens.degree, len(delta)))
+        return real_test(gens, delta, alpha)
+
+    def flagged_build(*args):
+        nonlocal in_build
+        in_build = True
+        try:
+            return real_build(*args)
+        finally:
+            in_build = False
+
+    monkeypatch.setattr(primitivity, "blockness_test", recording_test)
+    monkeypatch.setattr(primitivity, "build_point_transversal", flagged_build)
+    groups = [e.gens for e in full_corpus]
+    groups += [
+        relabel(build(parse_spec(spec)), random.Random(f"{spec}/{seed}"), 2)
+        for spec in ("subsets(5,2)", "symmetric(12)", "symmetric(128)", "dihedral(96)",
+                     "wreath(cyclic(3),4)")
+        for seed in range(4)
+    ]
+    for gens in groups:
+        primitivity_main(gens)
+    assert sizes
+    assert all(1 < size < n and n % size == 0 for n, size in sizes)
 
 
 def test_smallest_escaping_subsets_group():

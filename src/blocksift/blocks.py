@@ -3,18 +3,19 @@
 ``minimal_block`` is the union-find closure algorithm of Atkinson, Hassan,
 and Thorne; ``blockness_test`` propagates translates of a candidate block
 by BFS and either assembles the full block system or returns a witness
-element moving the candidate to an overlapping, unequal set.
+word over the generators, whose product moves the candidate to an
+overlapping, unequal set.
 ``atkinson_baseline`` is the classic quadratic primitivity test used as
 the project-wide oracle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property, partial
-from typing import Callable, Iterable, Literal
+from dataclasses import dataclass
+from typing import Iterable, Literal
 
-from .perm import GeneratorSet, Permutation, is_transitive, product_images
+from .perm import GeneratorSet, Permutation, is_transitive
+from .words import Word
 
 
 class InternalError(RuntimeError):
@@ -71,30 +72,22 @@ class BlockSystem:
 class BlockWitness:
     """Evidence that a candidate set is not a block.
 
-    ``g1`` maps ``beta`` (in the candidate) to ``gamma`` (also in the
-    candidate) yet moves the candidate to a different set. The word lists
-    (generator index, inverted) letters whose product is ``g1``.
+    ``word`` evaluates to an element g1 that maps ``beta`` (in the
+    candidate) to ``gamma`` (also in the candidate) yet moves the candidate
+    to a different set. Its letters are generators and the inverses they
+    cache, like every other witness word.
     """
 
     beta: int
     gamma: int
-    g1: Permutation
-    gen_word: list[tuple[int, bool]]
+    word: Word
 
 
 @dataclass
 class BlocknessResult:
-    """A test's verdict. A failed test's witness is built on the first read
-    of ``witness``, so a caller that only wants the verdict never pays for
-    its products."""
-
     kind: Literal["is_block", "not_block"]
     system: BlockSystem | None = None
-    make_witness: Callable[[], BlockWitness] | None = field(default=None, repr=False)
-
-    @cached_property
-    def witness(self) -> BlockWitness | None:
-        return None if self.make_witness is None else self.make_witness()
+    witness: BlockWitness | None = None
 
 
 class _UnionFind:
@@ -158,9 +151,15 @@ def blockness_test(gens: GeneratorSet, delta: Iterable[int], alpha: int) -> Bloc
 
     The group must be transitive; the caller checks that once (the drivers,
     ``atkinson_baseline`` and ``minimal_block`` do), and it is not checked
-    again here. On success returns the assembled block system; on failure
-    returns a witness g1 = w s w'^-1 built from the BFS parent paths of the
-    two conflicting translates, when the result's ``witness`` is first read.
+    again here. On success returns the assembled block system. On failure
+    a translate delta^(w s) meets a block delta^w' without equalling it, w
+    and w' the BFS parent paths of the two and s a generator, and the
+    witness is the word g1 = w s w'^-1. Every translate keeps the order of
+    the sorted candidate, so position i of a translate is the image of
+    delta[i]. The first point of delta^(w s), at position i, that lies in
+    delta^w', at position j, gives beta = delta[i] and gamma = delta[j]:
+    beta is the least point of the candidate that g1 maps into it, found
+    without evaluating or applying g1.
     """
     n = gens.degree
     delta = sorted(set(delta))
@@ -168,71 +167,42 @@ def blockness_test(gens: GeneratorSet, delta: Iterable[int], alpha: int) -> Bloc
         raise ValueError("alpha must lie in the candidate set")
     if not 1 < len(delta) < n:
         raise ValueError("candidate must be nontrivial (1 < |delta| < n)")
-    arrays = [g.images for g in gens.generators]
     block_of = [-1] * n
-    blocks: list[list[int]] = [list(delta)]
-    parent: list[tuple[int, int] | None] = [None]  # (parent block id, generator index)
+    blocks: list[list[int]] = [delta]
+    parent: list[tuple[int, Permutation] | None] = [None]  # (parent block id, generator)
     for p in delta:
         block_of[p] = 0
     # blocks are walked in creation order while new translates are appended
     for b, pts in enumerate(blocks):
-        for si, arr in enumerate(arrays):
+        for g in gens.generators:
+            arr = g.images
             img = [arr[p] for p in pts]
             ids = {block_of[p] for p in img}
-            if ids == {-1}:
-                bid = len(blocks)
-                blocks.append(img)
-                parent.append((b, si))
-                for p in img:
-                    block_of[p] = bid
-                continue
             if len(ids) == 1:
-                c = next(iter(ids))
-                if len(img) == len(blocks[c]):
-                    continue  # translate coincides with an existing block
-            return BlocknessResult(
-                "not_block",
-                make_witness=partial(_build_witness, gens, delta, b, si, img, block_of, parent),
-            )
+                if ids == {-1}:
+                    bid = len(blocks)
+                    blocks.append(img)
+                    parent.append((b, g))
+                    for p in img:
+                        block_of[p] = bid
+                # new, or inside one block and so equal to it: all have |delta| points
+                continue
+            i, c = next((i, block_of[p]) for i, p in enumerate(img) if block_of[p] != -1)
+            j = blocks[c].index(img[i])
+            letters = _path(parent, b) + [g] + [x.inverse() for x in reversed(_path(parent, c))]
+            witness = BlockWitness(delta[i], delta[j], Word(n, letters))
+            return BlocknessResult("not_block", witness=witness)
     system = BlockSystem(n, block_of, [sorted(b) for b in blocks])
     return BlocknessResult("is_block", system=system)
 
 
-def _path_word(parent: list[tuple[int, int] | None], b: int) -> list[int]:
-    """Generator indices along the BFS path from the root block to b."""
+def _path(parent: list[tuple[int, Permutation] | None], b: int) -> list[Permutation]:
+    """Generators along the BFS path from the root block to b."""
     rev = []
     while parent[b] is not None:
-        pb, si = parent[b]
-        rev.append(si)
-        b = pb
+        b, g = parent[b]
+        rev.append(g)
     return rev[::-1]
-
-
-def _build_witness(
-    gens: GeneratorSet,
-    delta: list[int],
-    b: int,
-    si: int,
-    img: list[int],
-    block_of: list[int],
-    parent: list[tuple[int, int] | None],
-) -> BlockWitness:
-    # conflicting assigned block: first image point already carrying an id
-    c = next(block_of[p] for p in img if block_of[p] != -1)
-    w = _path_word(parent, b)
-    w2 = _path_word(parent, c)
-    gen_word = [(g, False) for g in w] + [(si, False)] + [
-        (g, True) for g in reversed(w2)
-    ]
-    images = None
-    for gi, inv in gen_word:
-        g = gens.generators[gi]
-        arr = (g.inverse() if inv else g).images
-        images = arr if images is None else product_images(images, arr)
-    g1 = Permutation.unchecked(images)
-    dset = set(delta)
-    beta = next(p for p in delta if g1.images[p] in dset)
-    return BlockWitness(beta, g1.images[beta], g1, gen_word)
 
 
 def atkinson_baseline(gens: GeneratorSet) -> BlockSystem | None:

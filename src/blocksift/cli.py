@@ -21,7 +21,7 @@ import time
 from . import corpus
 from .blocks import InternalError, atkinson_baseline, minimal_block
 from .ioformats import ParseError, emit_generators, parse_generators
-from .perm import GeneratorSet
+from .perm import GeneratorSet, is_transitive
 from .primitivity import (
     Verdict,
     _capped_driver,
@@ -35,8 +35,9 @@ class InputError(Exception):
     pass
 
 
-def _read_gens(args, transitive: bool = True) -> GeneratorSet:
-    """The input generators; see ``parse_generators`` for ``transitive``."""
+def _read_gens(args) -> GeneratorSet:
+    """The input generators. Cycle text naming fewer points than its degree
+    is rejected before any permutation is built (see ``parse_generators``)."""
     if args.infile:
         try:
             with open(args.infile) as fh:
@@ -46,7 +47,7 @@ def _read_gens(args, transitive: bool = True) -> GeneratorSet:
     else:
         text = sys.stdin.read()
     try:
-        return parse_generators(text, transitive)
+        return parse_generators(text, transitive=True)
     except ParseError as exc:
         raise InputError(f"parse error: {exc}") from exc
     except ValueError as exc:
@@ -124,10 +125,12 @@ def _cmd_minblock(args) -> int:
 def _cmd_sift_trace(args) -> int:
     from .transversal import build_point_transversal
 
-    gens = _read_gens(args, transitive=False)
+    gens = _read_gens(args)
     cap = args.cap if args.cap is not None else gens.degree
     if cap < 1:
         raise InputError("cap must be at least 1")
+    if not is_transitive(gens):
+        raise InputError("sift-trace requires a transitive group")
     if gens.degree == 1:
         # primitive, as in the drivers: the orbit is {0} and nothing is sifted
         final = {"degree": 1, "cap": cap, "levels": [], "sifts": 0}

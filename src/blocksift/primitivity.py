@@ -29,6 +29,7 @@ from .blocks import _minimal_block_unchecked as minimal_block
 from .perm import GeneratorSet, Orbits, is_transitive, orbit
 from .sift import Certificate, SiftOutcome, SiftState
 from .transversal import build_point_transversal, build_scoped_transversal
+from .words import Word
 
 VerdictKind = Literal[
     "primitive",
@@ -214,9 +215,9 @@ def ss_primitivity(gens: GeneratorSet, cap: int) -> Verdict:
             scoped = build_scoped_transversal(state, r)
             if scoped is None:
                 break
-            s = scoped.word(wit.beta).eval()
-            t = scoped.word(wit.gamma).eval()
-            g = s * wit.g1 * t.inverse()
+            # s g1 t^-1, s and t mapping alpha to beta and gamma: one product
+            s, t = scoped.word(wit.beta), scoped.word(wit.gamma)
+            g = Word(n, s.letters + wit.word.letters + t.inverse_word().letters).eval()
             if g.images[alpha] != alpha:
                 raise InternalError("witness product must stabilize alpha")
             before = state.sum_xi(2)

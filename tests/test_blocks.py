@@ -62,7 +62,7 @@ class TestBlocknessTest:
         res = blockness_test(C4, {0, 1}, 0)
         assert res.kind == "not_block"
         w = res.witness
-        assert w.g1 == perm(4, (0, 1, 2, 3))
+        assert w.word.eval() == perm(4, (0, 1, 2, 3))
         assert (w.beta, w.gamma) == (0, 1)
 
     def test_d4_diagonal_block(self):
@@ -84,15 +84,16 @@ class TestBlocknessTest:
                     assert (res.kind == "is_block") == is_minimal_fixed
                     if res.kind == "not_block":
                         w = res.witness
+                        g1 = w.word.eval()
                         assert w.beta in cand and w.gamma in cand
-                        assert w.g1.images[w.beta] == w.gamma
-                        assert {w.g1.images[p] for p in cand} != cand
-                        # the generator-index word re-evaluates to g1
-                        g = perm(n)
-                        for gi, inv in w.gen_word:
-                            s = gens.generators[gi]
-                            g = g * (s.inverse() if inv else s)
-                        assert g == w.g1
+                        assert g1.images[w.beta] == w.gamma
+                        assert {g1.images[p] for p in cand} != cand
+                        # beta, read off by position, is the least point
+                        # of the candidate that g1 maps into it
+                        assert w.beta == min(p for p in cand if g1.images[p] in cand)
+                        # every letter is a generator or its cached inverse
+                        for x in w.word.letters:
+                            assert any(x is s or x is s.inverse() for s in gens.generators)
                     else:
                         assert validate_block_system(gens, res.system)
                         assert sorted(cand) in res.system.blocks

@@ -114,7 +114,9 @@ class TestPrimitive:
             code, out, err = run(capsys, monkeypatch, ["primitive"], stdin=text)
             assert code == 2 and out == "" and "parse error" in err, text
 
-    @pytest.mark.parametrize("command", [["primitive"], ["baseline"], ["minblock", "--seed", "0,1"]])
+    @pytest.mark.parametrize(
+        "command", [["primitive"], ["baseline"], ["minblock", "--seed", "0,1"], ["sift-trace"]]
+    )
     @pytest.mark.parametrize("text", ["n=9223372036854775807; (1 2)", "n=1000; (1 2 3)"])
     def test_declared_degree_above_points_named_exits_2(
         self, capsys, monkeypatch, command, text

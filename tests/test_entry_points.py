@@ -54,7 +54,7 @@ def test_intransitive_rejected_by_every_driver(driver):
 @pytest.mark.parametrize(
     "argv",
     [["primitive", "--cap", "2"], ["primitive", "--uncapped"],
-     ["primitive", "--law", "five-thirds"]],
+     ["primitive", "--law", "five-thirds"], ["sift-trace"]],
 )
 def test_intransitive_exits_2_in_the_cli(capsys, monkeypatch, argv):
     code, out, err = run_cli(capsys, monkeypatch, argv, INTRANSITIVE)

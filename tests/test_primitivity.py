@@ -552,6 +552,19 @@ def test_dihedral_groups_answer_from_the_build(k):
         assert d.early_tests >= 1 and d.candidates_tested == 0, seed
 
 
+@pytest.mark.parametrize("spec, seed", [("cyclic(1024)", 0), ("cyclic(4096)", 3)])
+def test_cyclic_misses_answer_from_the_scan(spec, seed):
+    # Relabelled cyclic(2^k) with two extra generators whose build-time tries
+    # all miss: the first level holds an odd rotation and even rotations
+    # with cycles too short for the budget, and every quotient is one of
+    # those. No try is tested, so the full build and scan find the block.
+    gens = relabel(build(parse_spec(spec)), random.Random(f"{spec}/{seed}"), 2)
+    v = primitivity_main(gens)
+    d = v.diagnostics
+    assert v.kind == "blocks" and validate_block_system(gens, v.blocks)
+    assert d.early_tests == 0 and d.candidates_tested >= 1
+
+
 def test_build_time_tests_get_divisor_sized_candidates(monkeypatch, full_corpus):
     # Block sizes divide the degree, so a build-time blockness test, which
     # is run only for its hit, never gets a candidate of any other size, nor

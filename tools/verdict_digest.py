@@ -1,0 +1,108 @@
+"""One sha256 over the verdicts of every driver on a fixed set of groups.
+
+Run from the repository root::
+
+    python tools/verdict_digest.py          # the digest
+    python tools/verdict_digest.py --cases  # one JSON line per case instead
+
+Each case is a group and a driver: ``primitivity_main``, ``ss_uncapped``
+and ``_capped_driver`` at caps 1, 2 and 3 (escape ``partial_base``). The
+groups are ``standard_corpus()`` and, for each member, three seeded
+relabellings with 0, 1 and 2 extra random-word generators. A case's record
+holds the verdict kind, the blocks, the certificate and
+``diagnostics.as_dict()``, so two trees print the same digest exactly when
+every driver answers every group the same way, down to its counters. A
+change meant to keep verdicts identical is checked by running this before
+and after it: copy this one file into a checkout of the older commit and
+run it there too. For that it needs nothing but the standard library and
+the package under ``src`` next to it, so it keeps its own copy of the
+tests' relabelling.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import random
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from blocksift.corpus import standard_corpus  # noqa: E402
+from blocksift.perm import GeneratorSet, Permutation  # noqa: E402
+from blocksift.primitivity import _capped_driver, primitivity_main, ss_uncapped  # noqa: E402
+
+DRIVERS = [("main", primitivity_main), ("uncapped", ss_uncapped)] + [
+    (f"cap{cap}", lambda gens, cap=cap: _capped_driver(gens, cap, "partial_base"))
+    for cap in (1, 2, 3)
+]
+
+
+def relabel(gens: GeneratorSet, rng: random.Random, extra: int) -> GeneratorSet:
+    """The same group under a random point relabelling, with ``extra``
+    generators appended, each a random word of up to 12 letters."""
+    n = gens.degree
+    sigma = list(range(n))
+    rng.shuffle(sigma)
+    out = []
+    for g in gens.generators:
+        images = [0] * n
+        for p, q in enumerate(g.images):
+            images[sigma[p]] = sigma[q]
+        out.append(Permutation(images))
+    base = list(out)
+    for _ in range(extra):
+        g = Permutation.identity(n)
+        for _ in range(rng.randint(0, 12)):
+            s = rng.choice(base)
+            g = g * (s.inverse() if rng.random() < 0.5 else s)
+        out.append(g)
+    return GeneratorSet(n, out)
+
+
+def groups():
+    for entry in standard_corpus():
+        yield entry.name, entry.gens
+        for extra in (0, 1, 2):
+            rng = random.Random(f"{entry.name}/{extra}")
+            yield f"{entry.name}/relabel+{extra}", relabel(entry.gens, rng, extra)
+
+
+def records():
+    for name, gens in groups():
+        for driver, decide in DRIVERS:
+            v = decide(gens)
+            cert = v.certificate
+            yield {
+                "group": name,
+                "driver": driver,
+                "kind": v.kind,
+                "blocks": v.blocks.blocks if v.blocks else None,
+                "certificate": (
+                    [[beta, list(g.images)] for beta, g in cert.entries] if cert else None
+                ),
+                "diagnostics": v.diagnostics.as_dict(),
+            }
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--cases", action="store_true",
+                        help="print one JSON record per case instead of the digest")
+    args = parser.parse_args()
+    digest = hashlib.sha256()
+    count = 0
+    for rec in records():
+        line = json.dumps(rec, sort_keys=True)
+        if args.cases:
+            print(line)
+        digest.update(line.encode() + b"\n")
+        count += 1
+    if not args.cases:
+        print(f"{digest.hexdigest()}  ({count} cases)")
+
+
+if __name__ == "__main__":
+    main()

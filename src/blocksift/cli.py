@@ -1,13 +1,14 @@
 """Command-line front end.
 
 Subcommands: ``primitive`` (capped drivers / uncapped), ``baseline``
-(quadratic oracle), ``minblock``, ``sift-trace``, ``gen`` (corpus group
-emitter), and ``bench``. Generator input comes from ``--in FILE`` or
-stdin, in either serialization format; results are JSON on stdout. Exit
-status is 0 for any verdict, 2 for input errors (an unparsable or
-intransitive group, a cap below 1), and 3 for an internal fault: a failed
-invariant of the library, reported as ``error: internal: ...`` without a
-traceback.
+(quadratic oracle), ``minblock``, ``sift-trace``, ``gen`` (emits the
+generators of a group spec such as ``wreath(alternating(8),2)``), and
+``bench``. Generator input comes from ``--in FILE`` or stdin, in either
+serialization format; results are JSON on stdout. Exit status is 0 for
+any verdict, 2 for input errors (an unparsable or intransitive group, a
+cap below 1), and 3 for an internal fault: a failed invariant of the
+library, reported as ``error: internal: ...`` without a traceback. Input
+errors are ``ValueError``s, reported in one place, ``cli_main``.
 """
 
 from __future__ import annotations
@@ -31,10 +32,6 @@ from .primitivity import (
 )
 
 
-class InputError(Exception):
-    pass
-
-
 def _read_gens(args) -> GeneratorSet:
     """The input generators. Cycle text naming fewer points than its degree
     is rejected before any permutation is built (see ``parse_generators``)."""
@@ -43,15 +40,10 @@ def _read_gens(args) -> GeneratorSet:
             with open(args.infile) as fh:
                 text = fh.read()
         except OSError as exc:
-            raise InputError(f"cannot read {args.infile}: {exc.strerror}") from exc
+            raise ValueError(f"cannot read {args.infile}: {exc.strerror}") from exc
     else:
         text = sys.stdin.read()
-    try:
-        return parse_generators(text, transitive=True)
-    except ParseError as exc:
-        raise InputError(f"parse error: {exc}") from exc
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    return parse_generators(text, transitive=True)
 
 
 def _verdict_json(v: Verdict, elapsed_ms: float) -> dict:
@@ -63,7 +55,7 @@ def _verdict_json(v: Verdict, elapsed_ms: float) -> dict:
             if v.certificate
             else None
         ),
-        "diagnostics": v.diagnostics.as_dict() if v.diagnostics else None,
+        "diagnostics": v.diagnostics.as_dict(),
         "time_ms": elapsed_ms,
     }
 
@@ -71,17 +63,14 @@ def _verdict_json(v: Verdict, elapsed_ms: float) -> dict:
 def _cmd_primitive(args) -> int:
     gens = _read_gens(args)
     start = time.perf_counter()
-    try:
-        if args.uncapped:
-            verdict = ss_uncapped(gens)
-        elif args.cap is not None:
-            verdict = _capped_driver(gens, args.cap, "partial_base")
-        elif args.law == "five-thirds":
-            verdict = primitivity_subquadratic(gens)
-        else:
-            verdict = primitivity_main(gens)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    if args.uncapped:
+        verdict = ss_uncapped(gens)
+    elif args.cap is not None:
+        verdict = _capped_driver(gens, args.cap, "partial_base")
+    elif args.law == "five-thirds":
+        verdict = primitivity_subquadratic(gens)
+    else:
+        verdict = primitivity_main(gens)
     elapsed = (time.perf_counter() - start) * 1000
     print(json.dumps(_verdict_json(verdict, elapsed)))
     return 0
@@ -90,10 +79,7 @@ def _cmd_primitive(args) -> int:
 def _cmd_baseline(args) -> int:
     gens = _read_gens(args)
     start = time.perf_counter()
-    try:
-        system = atkinson_baseline(gens)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    system = atkinson_baseline(gens)
     elapsed = (time.perf_counter() - start) * 1000
     out = {
         "verdict": "blocks" if system else "primitive",
@@ -111,12 +97,9 @@ def _cmd_minblock(args) -> int:
     try:
         seed = [int(s) for s in args.seed.split(",") if s.strip()]
     except ValueError as exc:
-        raise InputError(f"bad --seed value: {args.seed!r}") from exc
+        raise ValueError(f"bad --seed value: {args.seed!r}") from exc
     start = time.perf_counter()
-    try:
-        block = minimal_block(gens, seed)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    block = minimal_block(gens, seed)
     elapsed = (time.perf_counter() - start) * 1000
     print(json.dumps({"block": sorted(block), "time_ms": elapsed}))
     return 0
@@ -128,9 +111,9 @@ def _cmd_sift_trace(args) -> int:
     gens = _read_gens(args)
     cap = args.cap if args.cap is not None else gens.degree
     if cap < 1:
-        raise InputError("cap must be at least 1")
+        raise ValueError("cap must be at least 1")
     if not is_transitive(gens):
-        raise InputError("sift-trace requires a transitive group")
+        raise ValueError("sift-trace requires a transitive group")
     if gens.degree == 1:
         # primitive, as in the drivers: the orbit is {0} and nothing is sifted
         final = {"degree": 1, "cap": cap, "levels": [], "sifts": 0}
@@ -143,10 +126,7 @@ def _cmd_sift_trace(args) -> int:
         snap["outcome"] = outcome.kind
         trace.append(snap)
 
-    try:
-        state, rmap = build_point_transversal(gens, 0, cap, on_sift=on_sift)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    state, rmap = build_point_transversal(gens, 0, cap, on_sift=on_sift)
     print(
         json.dumps(
             {
@@ -160,45 +140,8 @@ def _cmd_sift_trace(args) -> int:
     return 0
 
 
-def _spec_from_flags(args) -> corpus.GroupSpec:
-    family = args.family.lower().replace("-", "_")
-    if family in ("wreath", "wreath_imprimitive"):
-        if not args.inner or args.d is None:
-            raise InputError("wreath needs --inner SPEC and --d D")
-        inner = corpus.parse_spec(args.inner)
-        return corpus.GroupSpec("wreath", inner=inner, d=args.d)
-    parts = []
-    if family in ("cyclic", "dihedral"):
-        if args.n is None:
-            raise InputError(f"{family} needs --n N")
-        parts = [str(args.n)]
-    elif family in ("symmetric", "alternating"):
-        if args.m is None:
-            raise InputError(f"{family} needs --m M")
-        parts = [str(args.m)]
-    elif family == "subsets":
-        if args.m is None or args.k is None:
-            raise InputError("subsets needs --m M and --k K")
-        parts = [str(args.m), str(args.k)]
-    elif family == "product":
-        if args.m is None or args.d is None:
-            raise InputError("product needs --m M and --d D")
-        parts = [str(args.m), str(args.d)]
-    elif family == "m24":
-        parts = []
-    else:
-        raise InputError(f"unknown family {args.family!r}")
-    text = family if not parts else f"{family}({','.join(parts)})"
-    return corpus.parse_spec(text)
-
-
 def _cmd_gen(args) -> int:
-    try:
-        spec = _spec_from_flags(args)
-        gens = corpus.build(spec)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
-    print(emit_generators(gens, fmt=args.format))
+    print(emit_generators(corpus.build(corpus.parse_spec(args.spec)), fmt=args.format))
     return 0
 
 
@@ -206,16 +149,13 @@ def _cmd_bench(args) -> int:
     try:
         sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
     except ValueError as exc:
-        raise InputError(f"bad --sizes value: {args.sizes!r}") from exc
+        raise ValueError(f"bad --sizes value: {args.sizes!r}") from exc
     if args.runs < 1:
-        raise InputError(f"--runs must be at least 1, not {args.runs}")
+        raise ValueError(f"--runs must be at least 1, not {args.runs}")
     if not sizes:
-        raise InputError(f"--sizes names no size: {args.sizes!r}")
+        raise ValueError(f"--sizes names no size: {args.sizes!r}")
     family = args.family.lower().replace("-", "_")
-    try:
-        groups = [corpus.build(corpus.parse_spec(f"{family}({size})")) for size in sizes]
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    groups = [corpus.build(corpus.parse_spec(f"{family}({size})")) for size in sizes]
     print("family,n,|S|,time_ms,sifts,h_updates,sum_Xi")
     for gens in groups:
         times = []
@@ -265,13 +205,8 @@ def _build_parser() -> argparse.ArgumentParser:
     add_input(p)
     p.add_argument("--cap", type=int, default=None)
 
-    p = sub.add_parser("gen", help="emit a corpus group's generators")
-    p.add_argument("--family", required=True)
-    p.add_argument("--n", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--d", type=int)
-    p.add_argument("--inner", help="compact inner-group spec, e.g. 'cyclic(2)'")
+    p = sub.add_parser("gen", help="emit the generators of a group spec")
+    p.add_argument("spec", help="group spec, e.g. 'wreath(alternating(8),2)'")
     p.add_argument("--format", choices=["json", "cycles"], default="json")
 
     p = sub.add_parser("bench", help="timing table for a one-parameter family")
@@ -300,7 +235,10 @@ def cli_main(argv=None) -> int:
         return exc.code if exc.code is not None else 0
     try:
         return _COMMANDS[args.command](args)
-    except InputError as exc:
+    except ParseError as exc:
+        print(f"error: parse error: {exc}", file=sys.stderr)
+        return 2
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InternalError as exc:

@@ -2,7 +2,10 @@
 
 Families are described by a :class:`GroupSpec` (also parseable from a
 compact string such as ``"wreath(alternating(8),2)"``) and realized as
-transitive generator sets. Point numbering conventions are pinned:
+transitive generator sets. Each family is one row of ``_FAMILIES``: its
+``GroupSpec`` parameter names in spec-string order, its constructor and
+its order formula; the parser, ``describe``, ``build`` and ``spec_order``
+all read that row. Point numbering conventions are pinned:
 k-subsets are ranked colexicographically, product-action tuples use
 mixed-radix encoding with digit 0 least significant, and imprimitive
 wreath actions use blocks of m consecutive points.
@@ -15,6 +18,7 @@ import re
 from dataclasses import dataclass, field
 from importlib import resources
 from itertools import combinations
+from typing import Callable
 
 from .perm import GeneratorSet, Permutation, is_transitive
 
@@ -31,23 +35,8 @@ class GroupSpec:
     inner: "GroupSpec | None" = None
 
     def describe(self) -> str:
-        if self.family == "cyclic":
-            return f"cyclic({self.n})"
-        if self.family == "dihedral":
-            return f"dihedral({self.n})"
-        if self.family == "symmetric":
-            return f"symmetric({self.m})"
-        if self.family == "alternating":
-            return f"alternating({self.m})"
-        if self.family == "subsets":
-            return f"subsets({self.m},{self.k})"
-        if self.family == "wreath":
-            return f"wreath({self.inner.describe()},{self.d})"
-        if self.family == "product":
-            return f"product({self.m},{self.d})"
-        if self.family == "m24":
-            return "m24"
-        raise ValueError(f"unknown family {self.family!r}")
+        args = [a.describe() if isinstance(a, GroupSpec) else str(a) for a in _args(self)]
+        return f"{self.family}({','.join(args)})" if args else self.family
 
 
 def parse_spec(text: str) -> GroupSpec:
@@ -89,38 +78,20 @@ def _parse_spec(text: str) -> tuple[GroupSpec, str]:
 
 
 def _spec_from_args(name: str, args: list) -> GroupSpec:
-    def ints(count):
-        if len(args) != count or not all(isinstance(a, int) for a in args):
-            raise ValueError(f"family {name!r} expects {count} integer argument(s)")
-        return args
-
-    if name == "cyclic":
-        return GroupSpec("cyclic", n=ints(1)[0])
-    if name == "dihedral":
-        return GroupSpec("dihedral", n=ints(1)[0])
-    if name == "symmetric":
-        return GroupSpec("symmetric", m=ints(1)[0])
-    if name == "alternating":
-        return GroupSpec("alternating", m=ints(1)[0])
-    if name == "subsets":
-        m, k = ints(2)
-        return GroupSpec("subsets", m=m, k=k)
-    if name == "product":
-        m, d = ints(2)
-        return GroupSpec("product", m=m, d=d)
-    if name == "wreath" or name == "wreath_imprimitive":
-        if (
-            len(args) != 2
-            or not isinstance(args[0], GroupSpec)
-            or not isinstance(args[1], int)
-        ):
-            raise ValueError("wreath expects (inner-spec, d)")
-        return GroupSpec("wreath", inner=args[0], d=args[1])
-    if name == "m24":
-        if args:
-            raise ValueError("m24 takes no arguments")
-        return GroupSpec("m24")
-    raise ValueError(f"unknown group family {name!r}")
+    family = _ALIASES.get(name, name)
+    if family not in _FAMILIES:
+        raise ValueError(f"unknown group family {name!r}")
+    params = _FAMILIES[family].params
+    if len(args) == len(params) and all(
+        isinstance(a, GroupSpec) == (p == "inner") for p, a in zip(params, args)
+    ):
+        return GroupSpec(family, **dict(zip(params, args)))
+    if not params:
+        raise ValueError(f"{family} takes no arguments")
+    if "inner" in params:
+        shown = ", ".join("inner-spec" if p == "inner" else p for p in params)
+        raise ValueError(f"{family} expects ({shown})")
+    raise ValueError(f"family {family!r} expects {len(params)} integer argument(s)")
 
 
 def _cycle(n: int) -> Permutation:
@@ -256,26 +227,48 @@ def mathieu24() -> GeneratorSet:
     return parse_generators(text)
 
 
+@dataclass(frozen=True)
+class _Family:
+    """One group family. ``params`` are its ``GroupSpec`` field names in
+    spec-string order, where ``inner`` holds a nested spec. ``make`` and
+    ``order`` take the params' values, ``make`` with the nested spec built
+    and ``order`` with the nested spec's order."""
+
+    params: tuple[str, ...]
+    make: Callable[..., GeneratorSet]
+    order: Callable[..., int | None]
+
+
+_FAMILIES = {
+    "cyclic": _Family(("n",), cyclic, lambda n: n),
+    "dihedral": _Family(("n",), dihedral, lambda n: 2 * n),
+    "symmetric": _Family(("m",), symmetric, math.factorial),
+    "alternating": _Family(("m",), alternating, lambda m: math.factorial(m) // 2),
+    "subsets": _Family(
+        ("m", "k"), on_k_subsets, lambda m, k: math.factorial(m) if m >= 3 else None
+    ),
+    "wreath": _Family(
+        ("inner", "d"), wreath_imprimitive, lambda inner, d: inner**d * math.factorial(d)
+    ),
+    "product": _Family(
+        ("m", "d"), product_action, lambda m, d: math.factorial(m) ** d * math.factorial(d)
+    ),
+    "m24": _Family((), mathieu24, lambda: M24_ORDER),
+}
+_ALIASES = {"wreath_imprimitive": "wreath"}
+
+
+def _args(spec: GroupSpec) -> list:
+    """The spec's parameter values in spec-string order."""
+    if spec.family not in _FAMILIES:
+        raise ValueError(f"unknown family {spec.family!r}")
+    return [getattr(spec, p) for p in _FAMILIES[spec.family].params]
+
+
 def build(spec: GroupSpec) -> GeneratorSet:
     """Realize a group spec; the result is always transitive."""
-    if spec.family == "cyclic":
-        gens = cyclic(spec.n)
-    elif spec.family == "dihedral":
-        gens = dihedral(spec.n)
-    elif spec.family == "symmetric":
-        gens = symmetric(spec.m)
-    elif spec.family == "alternating":
-        gens = alternating(spec.m)
-    elif spec.family == "subsets":
-        gens = on_k_subsets(spec.m, spec.k)
-    elif spec.family == "wreath":
-        gens = wreath_imprimitive(build(spec.inner), spec.d)
-    elif spec.family == "product":
-        gens = product_action(spec.m, spec.d)
-    elif spec.family == "m24":
-        gens = mathieu24()
-    else:
-        raise ValueError(f"unknown family {spec.family!r}")
+    args = [build(a) if isinstance(a, GroupSpec) else a for a in _args(spec)]
+    gens = _FAMILIES[spec.family].make(*args)
     if not is_transitive(gens):
         raise ValueError(f"{spec.describe()} is not transitive")
     return gens
@@ -283,24 +276,10 @@ def build(spec: GroupSpec) -> GeneratorSet:
 
 def spec_order(spec: GroupSpec) -> int | None:
     """Known group order for the family, or None."""
-    if spec.family == "cyclic":
-        return spec.n
-    if spec.family == "dihedral":
-        return 2 * spec.n
-    if spec.family == "symmetric":
-        return math.factorial(spec.m)
-    if spec.family == "alternating":
-        return math.factorial(spec.m) // 2
-    if spec.family == "subsets":
-        return math.factorial(spec.m) if spec.m >= 3 else None
-    if spec.family == "wreath":
-        inner = spec_order(spec.inner)
-        return None if inner is None else inner**spec.d * math.factorial(spec.d)
-    if spec.family == "product":
-        return math.factorial(spec.m) ** spec.d * math.factorial(spec.d)
-    if spec.family == "m24":
-        return M24_ORDER
-    return None
+    if spec.family not in _FAMILIES:
+        return None
+    args = [spec_order(a) if isinstance(a, GroupSpec) else a for a in _args(spec)]
+    return None if None in args else _FAMILIES[spec.family].order(*args)
 
 
 @dataclass

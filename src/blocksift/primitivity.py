@@ -19,7 +19,7 @@ certificate fallback.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Literal
 
 from .blocks import BlockSystem, InternalError, blockness_test
@@ -56,20 +56,11 @@ class Diagnostics:
     early_tries: int = 0
     early_tests: int = 0
     sum_xi: int = 0
-    # (before, after) of sum over levels >= 2, one pair per H-update
-    h_update_growth: list[tuple[int, int]] = field(default_factory=list)
+    # [before, after] of sum over levels >= 2, one pair per H-update
+    h_update_growth: list[list[int]] = field(default_factory=list)
 
     def as_dict(self) -> dict:
-        return {
-            "sifts": self.sifts,
-            "h_updates": self.h_updates,
-            "candidates_closed": self.candidates_closed,
-            "candidates_tested": self.candidates_tested,
-            "early_tries": self.early_tries,
-            "early_tests": self.early_tests,
-            "sum_xi": self.sum_xi,
-            "h_update_growth": [[before, after] for before, after in self.h_update_growth],
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -228,7 +219,7 @@ def ss_primitivity(gens: GeneratorSet, cap: int) -> Verdict:
             if after <= before:
                 raise InternalError("H-update must enlarge the deep generator lists")
             diag.h_updates += 1
-            diag.h_update_growth.append((before, after))
+            diag.h_update_growth.append([before, after])
             break  # rescan with the enlarged H
         else:
             return _finish(Verdict("primitive"), diag, state)

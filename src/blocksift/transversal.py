@@ -5,10 +5,11 @@ point stabilizer of alpha (one word per orbit point), or stops with a
 certified partial base of size L+1 when the base-size cap is exceeded.
 ``build_scoped_transversal`` does the same for the subgroup generated by
 one evaluated transversal element r together with the elements of the
-levels below the first, sharing those levels with the live state; the
-caller evaluates r's word once and closes its candidate with the same
-permutation. The letters of every r-word are level elements of the state
-(or the inverses they cache), so a word holds no copy of any element.
+levels below the first, on the live state with its first level swapped
+for one seeded by r; the caller evaluates r's word once and closes its
+candidate with the same permutation. The letters of every r-word are
+level elements of the state (or the inverses they cache), so a word
+holds no copy of any element.
 """
 
 from __future__ import annotations
@@ -78,24 +79,21 @@ def build_scoped_transversal(state: SiftState, r: Permutation) -> WitnessMap | N
     """Transversal for K : K_alpha where K = <X_2* elements, r>.
 
     Alpha is the first base point of ``state`` and ``r`` must move it.
-    Works on an overlay whose first level is temporarily ``r`` alone;
-    levels below the first are the live levels of ``state`` and any
-    appends or new base levels made there persist. Overlay first-level
-    appends are discarded: nothing but the returned r-words refers to
-    them. Returns None once ``state`` is capped.
+    Runs on ``state`` itself with its first level swapped for one seeded
+    by ``r`` alone, and restores the first level on return. Appends to the
+    levels below the first and new base levels persist; appends to the
+    swapped-in level are discarded, since nothing but the returned r-words
+    refers to them. Returns None once ``state`` is capped.
     """
     if state.capped:
         return None
-    alpha = state.levels[0].beta
+    first = state.levels[0]
+    alpha = first.beta
     if r.degree != state.n or r.images[alpha] == alpha:
         raise ValueError("r must act on the state's points and move alpha")
-    overlay = SiftState(state.n, state.cap, [Level.seeded(alpha, r)] + state.levels[1:])
     kgens = [r] + state.deep_element_perms()
-    orig_len = len(state.levels)
+    state.levels[0] = Level.seeded(alpha, r)
     try:
-        rmap = _close_transversal(overlay, kgens)
+        return _close_transversal(state, kgens)
     finally:
-        # new base levels opened during the scoped run are globally valid
-        state.levels.extend(overlay.levels[orig_len:])
-        state.sift_count += overlay.sift_count
-    return rmap
+        state.levels[0] = first

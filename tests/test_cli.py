@@ -9,6 +9,7 @@ import pytest
 
 import blocksift
 from blocksift.cli import cli_main
+from blocksift.ioformats import parse_generators
 
 
 def run(capsys, monkeypatch, argv, stdin=None):
@@ -143,9 +144,7 @@ class TestPrimitive:
         assert code == 2 and out == "" and "not allowed with" in err
 
     def test_h_update_growth_in_json(self, capsys, monkeypatch):
-        code, out, _ = run(
-            capsys, monkeypatch, ["gen", "--family", "subsets", "--m", "6", "--k", "2"]
-        )
+        code, out, _ = run(capsys, monkeypatch, ["gen", "subsets(6,2)"])
         code, out, _ = run(capsys, monkeypatch, ["primitive"], stdin=out)
         diag = json.loads(out)["diagnostics"]
         assert code == 0 and diag["h_updates"] == len(diag["h_update_growth"]) > 0
@@ -191,24 +190,35 @@ class TestMinblock:
 
 class TestGeneratorPipeline:
     def test_gen_then_primitive(self, capsys, monkeypatch):
-        code, out, _ = run(
-            capsys, monkeypatch,
-            ["gen", "--family", "wreath", "--inner", "alternating(8)", "--d", "2"],
-        )
+        code, out, _ = run(capsys, monkeypatch, ["gen", "wreath(alternating(8),2)"])
         assert code == 0
         code, out, _ = run(capsys, monkeypatch, ["primitive"], stdin=out)
         assert code == 0 and json.loads(out)["verdict"] == "blocks"
 
     def test_gen_cycle_format(self, capsys, monkeypatch):
-        code, out, _ = run(
-            capsys, monkeypatch,
-            ["gen", "--family", "cyclic", "--n", "4", "--format", "cycles"],
-        )
+        code, out, _ = run(capsys, monkeypatch, ["gen", "cyclic(4)", "--format", "cycles"])
         assert code == 0 and "(1 2 3 4)" in out
 
+    @pytest.mark.parametrize("fmt", ["json", "cycles"])
+    def test_gen_emits_every_corpus_group(self, capsys, monkeypatch, full_corpus, fmt):
+        # the corpus names a group of every family, so each family's row goes
+        # through gen and back through the parser
+        for entry in full_corpus:
+            code, out, err = run(capsys, monkeypatch, ["gen", entry.name, "--format", fmt])
+            assert code == 0 and err == "", entry.name
+            gens = parse_generators(out)
+            assert gens.degree == entry.gens.degree, entry.name
+            assert [g.images for g in gens] == [g.images for g in entry.gens], entry.name
+
     def test_gen_missing_params_exits_2(self, capsys, monkeypatch):
-        code, _, _ = run(capsys, monkeypatch, ["gen", "--family", "cyclic"])
-        assert code == 2
+        # an arity error and an unknown family
+        for spec in ("cyclic", "froz(3)"):
+            code, out, err = run(capsys, monkeypatch, ["gen", spec])
+            assert code == 2 and out == "" and err.startswith("error:"), spec
+
+    def test_gen_takes_no_family_flags(self, capsys, monkeypatch):
+        code, out, err = run(capsys, monkeypatch, ["gen", "--family", "cyclic", "--n", "4"])
+        assert code == 2 and out == "" and "usage:" in err
 
 
 class TestSiftTrace:

@@ -200,9 +200,10 @@ def test_deep_cube_lemmas_small(name, gens, order):
 
 def test_stored_elements_pass_checked_construction(full_corpus, monkeypatch):
     # products and inverses are built unchecked inside the drivers; every
-    # element a cube expansion walks (level elements, overlay elements and
-    # the inverses they cache) and its inverse must still pass the checked
-    # constructor, and the final structure its invariants
+    # element a cube expansion walks (level elements, the scoped first
+    # level's elements and the inverses they cache) and its inverse must
+    # still pass the checked constructor, and the final structure its
+    # invariants
     states = []
     walked = {}  # id -> element, which keeps each id unique
     build_point_transversal = primitivity.build_point_transversal

@@ -114,17 +114,18 @@ class TestBuildScopedTransversal:
         _, rmap = state.level_deep_orbit(1)
         levels, sum_xi = state.debug_dump()["levels"], state.sum_xi()
         assert build_scoped_transversal(state, rmap.word(1).eval()) is None
-        # the cap is checked before any overlay is built
+        # the cap is checked before the first level is swapped
         assert state.debug_dump()["levels"] == levels and state.sum_xi() == sum_xi
         assert len(state.certificate()) == 2
 
     def test_overlay_level_discarded_deep_appends_kept(self):
         gens = GeneratorSet(4, [perm(4, (0, 1, 2, 3)), perm(4, (1, 3))])
         state, rmap = build_point_transversal(gens, 0, 4)
-        x1_before = list(state.levels[0].elems)
+        first, x1_before = state.levels[0], list(state.levels[0].elems)
         scoped = build_scoped_transversal(state, rmap.word(2).eval())
         assert scoped is not None
-        assert state.levels[0].elems == x1_before  # level-1 overlay discarded
+        # the swapped-in first level is discarded and the live one restored
+        assert state.levels[0] is first and first.elems == x1_before
         for lv in state.levels[1:]:  # any deep appends are valid elements
             for g in lv.elems:
                 assert g.images[0] == 0 and g.images[lv.beta] != lv.beta

@@ -149,13 +149,16 @@ def minimal_block(gens: GeneratorSet, seed: Iterable[int]) -> set[int]:
 def blockness_test(gens: GeneratorSet, delta: Iterable[int], alpha: int) -> BlocknessResult:
     """Decide whether a candidate set is a block, by translate propagation.
 
-    The group must be transitive; the caller checks that once (the drivers,
-    ``atkinson_baseline`` and ``minimal_block`` do), and it is not checked
-    again here. On success returns the assembled block system. On failure
-    a translate delta^(w s) meets a block delta^w' without equalling it, w
+    The group must be transitive; no orbit walk checks it here. When no
+    witness turns up, the translates found cover delta^G; if they miss a
+    point, G is intransitive and ValueError is raised in place of a system.
+    So an ``is_block`` answer for a candidate inside alpha^G proves G
+    transitive, and a ``not_block`` answer proves nothing either way.
+    On success returns the assembled block system. On failure a
+    translate delta^(w s) meets a block delta^w' without equalling it, w
     and w' the BFS parent paths of the two and s a generator, and the
-    witness is the word g1 = w s w'^-1. Every translate keeps the order of
-    the sorted candidate, so position i of a translate is the image of
+    witness is the word g1 = w s w'^-1. Every translate keeps the order
+    of the sorted candidate, so position i of a translate is the image of
     delta[i]. The first point of delta^(w s), at position i, that lies in
     delta^w', at position j, gives beta = delta[i] and gamma = delta[j]:
     beta is the least point of the candidate that g1 maps into it, found
@@ -192,6 +195,8 @@ def blockness_test(gens: GeneratorSet, delta: Iterable[int], alpha: int) -> Bloc
             letters = _path(parent, b) + [g] + [x.inverse() for x in reversed(_path(parent, c))]
             witness = BlockWitness(delta[i], delta[j], Word(n, letters))
             return BlocknessResult("not_block", witness=witness)
+    if len(blocks) * len(delta) != n:
+        raise ValueError("blockness_test requires a transitive group: the translates miss a point")
     system = BlockSystem(n, block_of, [sorted(b) for b in blocks])
     return BlocknessResult("is_block", system=system)
 

@@ -85,6 +85,9 @@ def _largest_proper_divisor(n: int) -> int:
     return 1
 
 
+_NEEDS_TRANSITIVE = "ss_primitivity requires a transitive group"
+
+
 def ss_primitivity(gens: GeneratorSet, cap: int) -> Verdict:
     """Capped primitivity loop at alpha = 0: Primitive, Blocks, or PartialBase.
 
@@ -93,6 +96,20 @@ def ss_primitivity(gens: GeneratorSet, cap: int) -> Verdict:
     whatever the cap. Every capped route (point transversal, scoped
     transversal, H-update sift) leaves the loop for the one partial-base
     exit at its end.
+
+    G must be transitive; every exit raises ValueError otherwise. At
+    degree 1 and prime degree nothing is built, so an orbit walk checks
+    it. At composite degree the work that decides proves it, once:
+    - a generator set that fixes alpha is intransitive, since n > 1;
+    - a blocks verdict comes from ``blockness_test``, whose translates
+      cover delta^G. Every candidate is a closure of alpha under group
+      elements, so delta^G = alpha^G, and the test raises when they miss
+      a point;
+    - a closed point transversal holds alpha^G in ``rmap.points``, so it
+      is checked right after the build, before the scan evaluates any
+      r-word. A primitive verdict and every later exit follow that check;
+    - a build that passed its cap closed no orbit, and only then is an
+      orbit walk run.
 
     While the state has one level, H = <X_2*> is trivial, and the scan's
     candidate for r is alpha^<r>, the cycle of r through alpha. So after
@@ -118,15 +135,18 @@ def ss_primitivity(gens: GeneratorSet, cap: int) -> Verdict:
     n = gens.degree
     if cap < 1:
         raise ValueError("cap must be at least 1")
-    if not is_transitive(gens):
-        raise ValueError("ss_primitivity requires a transitive group")
     dmax = _largest_proper_divisor(n)
+    alpha = 0
     if dmax == 1:
         # degree 1 or prime: block sizes divide n, so the size filter below
-        # would drop every candidate; nothing is built and nothing is sifted
+        # would drop every candidate; nothing is built and nothing is sifted,
+        # so only an orbit walk can prove transitivity
+        if not is_transitive(gens):
+            raise ValueError(_NEEDS_TRANSITIVE)
         return Verdict("primitive")
+    if all(g.images[alpha] == alpha for g in gens.generators):
+        raise ValueError(_NEEDS_TRANSITIVE)  # alpha^G = {alpha}, and n > 1
     diag = Diagnostics()
-    alpha = 0
     found: list[BlockSystem] = []
 
     # dmax = n/p, so p = n // dmax is the smallest prime factor of n
@@ -174,6 +194,10 @@ def ss_primitivity(gens: GeneratorSet, cap: int) -> Verdict:
     state, rmap = build_point_transversal(gens, alpha, cap, try_block)
     if found:
         return _finish(Verdict("blocks", blocks=found[0]), diag, state)
+    # rmap.points is alpha^G; a build that passed its cap closed no orbit
+    transitive = len(rmap.points) == n if rmap is not None else is_transitive(gens)
+    if not transitive:
+        raise ValueError(_NEEDS_TRANSITIVE)
     while not state.capped:
         hgens = state.deep_element_perms()
         # the candidate is a union of H-orbits: close it one whole H-orbit

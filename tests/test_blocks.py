@@ -104,6 +104,15 @@ class TestBlocknessTest:
         with pytest.raises(ValueError):
             blockness_test(C4, {0}, 0)  # trivial candidate
 
+    def test_translates_missing_points_name_transitivity(self):
+        # {0, 2} is a block of the 4-cycle on 0..3, but its translates miss
+        # 4..7: the error is about the group, not about a partial partition
+        c4_of_8 = GeneratorSet(8, [perm(8, (0, 1, 2, 3))])
+        with pytest.raises(ValueError, match="requires a transitive group"):
+            blockness_test(c4_of_8, {0, 2}, 0)
+        # a witness found on an intransitive group is still an answer
+        assert blockness_test(c4_of_8, {0, 1}, 0).kind == "not_block"
+
 
 class TestAtkinsonBaseline:
     def test_a5_primitive(self):

@@ -1,10 +1,11 @@
-"""Entry-point behaviour shared by the drivers and the CLI: the transitivity
-check at the boundary, the one capped decision path, and internal faults
-(exit 3), which must not depend on ``assert``."""
+"""Entry-point behaviour shared by the drivers and the CLI: rejection of
+intransitive input at every exit, the one capped decision path, and
+internal faults (exit 3), which must not depend on ``assert``."""
 
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -18,7 +19,7 @@ from blocksift.blocks import InternalError, validate_block_system
 from blocksift.cli import cli_main
 from blocksift.corpus import build, parse_spec
 from blocksift.ioformats import emit_generators
-from blocksift.perm import GeneratorSet
+from blocksift.perm import GeneratorSet, Permutation
 from blocksift.primitivity import (
     _capped_driver,
     find_blocks_from_certificate,
@@ -28,7 +29,7 @@ from blocksift.primitivity import (
     ss_uncapped,
 )
 from blocksift.sift import Certificate, SiftState
-from conftest import perm
+from conftest import perm, relabel
 
 DRIVERS = (primitivity_main, primitivity_subquadratic, ss_uncapped)
 
@@ -77,22 +78,136 @@ def count_transitivity_checks(monkeypatch) -> list:
 
 
 def test_transitivity_checked_once_per_decision(monkeypatch):
-    # wreath(symmetric(4),2) runs two blockness tests and an H-update
-    gens = build(parse_spec("wreath(symmetric(4),2)"))
+    # at composite degree the decision proves transitivity from its own
+    # work, with no orbit walk: a block's translates cover every point, or
+    # the closed point transversal holds alpha^G
     calls = count_transitivity_checks(monkeypatch)
-    v = primitivity_main(gens)
+    # wreath(symmetric(4),2) runs two blockness tests and an H-update
+    v = primitivity_main(build(parse_spec("wreath(symmetric(4),2)")))
     assert v.kind == "blocks" and v.diagnostics.candidates_tested == 2
-    assert len(calls) == 1
+    # dihedral(16) is answered by a block tried during the build
+    v = primitivity_main(build(parse_spec("dihedral(16)")))
+    assert v.kind == "blocks" and v.diagnostics.candidates_tested == 0
+    assert v.diagnostics.early_tests >= 1
+    v = primitivity_main(build(parse_spec("subsets(6,2)")))
+    assert v.kind == "primitive" and v.diagnostics.h_updates == 2
+    assert calls == []
+    # at prime degree nothing is built, so one orbit walk checks it
+    v = primitivity_main(build(parse_spec("cyclic(7)")))
+    assert v.kind == "primitive" and len(calls) == 1
 
 
 def test_certificate_fallback_checks_transitivity_once(monkeypatch):
-    # cap 3 ends in a partial base of 4 entries, none of which seeds a
-    # proper block: one check in the driver, one for the whole fallback
-    gens = build(parse_spec("subsets(30,2)"))
+    # cap 3 ends subsets(30,2) in a partial base of 4 entries, none of which
+    # seeds a proper block. Its build passes the cap before alpha's orbit is
+    # closed, so the driver walks the orbit once; the fallback checks once
+    # for all its entries
     calls = count_transitivity_checks(monkeypatch)
-    v = _capped_driver(gens, 3, "partial_base")
+    v = _capped_driver(build(parse_spec("subsets(30,2)")), 3, "partial_base")
     assert v.kind == "partial_base" and len(v.certificate) == 4
     assert len(calls) == 2
+    # subsets(6,2) passes cap 3 in its first H-update, after its closed
+    # point transversal proved transitivity: only the fallback checks
+    calls.clear()
+    v = _capped_driver(build(parse_spec("subsets(6,2)")), 3, "partial_base")
+    assert v.kind == "partial_base" and v.diagnostics.candidates_tested == 1
+    assert len(calls) == 1
+
+
+def with_fixed_points(gens: GeneratorSet, k: int) -> GeneratorSet:
+    """The same group acting on k more points, all of them fixed."""
+    n = gens.degree
+    fixed = tuple(range(n, n + k))
+    return GeneratorSet(n + k, [Permutation(g.images + fixed) for g in gens.generators])
+
+
+# One intransitive group of composite degree per exit of ss_primitivity.
+# (1 2 3) on 4 points fixes alpha, so no transversal can be built
+FIXES_ALPHA = GeneratorSet(4, [perm(4, (1, 2, 3))])
+# two 8-cycles on 16 points: a cycle tried during the build is a block of
+# the first, whose translates cover 8 points
+TWO_CYCLES = GeneratorSet(16, [perm(16, tuple(range(8)), tuple(range(8, 16)))])
+# D8 on the first 8 of 16 points, a reflection first
+D8_OF_16 = GeneratorSet(16, [perm(16, (1, 7), (2, 6), (3, 5)), perm(16, tuple(range(8)))])
+# subsets(10,2) on 45 of 48 points: its builds pass caps 1, 2 and 3
+CAPPED_BUILD = with_fixed_points(build(parse_spec("subsets(10,2)")), 3)
+
+INTRANSITIVE_EXITS = [
+    (FIXES_ALPHA, "fixed alpha"),
+    (INTRANSITIVE, "closed orbit"),
+    (TWO_CYCLES, "early try"),
+    (D8_OF_16, "early try"),
+    (CAPPED_BUILD, "capped build"),
+]
+
+CLI_DECISIONS = (
+    ["primitive"], ["primitive", "--uncapped"], ["primitive", "--law", "five-thirds"],
+    ["primitive", "--cap", "1"], ["primitive", "--cap", "2"], ["primitive", "--cap", "3"],
+)
+
+
+def rejection_exit(monkeypatch, gens: GeneratorSet, cap: int) -> str:
+    """Run ``ss_primitivity`` on an intransitive group and name the exit
+    that rejected it."""
+    walks, builds, tests = [], [], []
+    with monkeypatch.context() as m:
+        for name, record in (
+            ("is_transitive", walks), ("build_point_transversal", builds),
+            ("blockness_test", tests),
+        ):
+            real = getattr(primitivity, name)
+            m.setattr(
+                primitivity, name, lambda *a, real=real, record=record: record.append(a) or real(*a)
+            )
+        with pytest.raises(ValueError, match="transitive") as exc:
+            ss_primitivity(gens, cap)
+    if not builds:
+        return "fixed alpha"
+    if walks:
+        return "capped build"
+    if "translates miss" in str(exc.value):
+        assert tests, "an early try raised without a blockness test"
+        return "early try"
+    return "closed orbit"
+
+
+def assert_rejected_everywhere(capsys, monkeypatch, gens: GeneratorSet) -> None:
+    for cap in (1, 2, 3):
+        with pytest.raises(ValueError, match="transitive"):
+            _capped_driver(gens, cap, "partial_base")
+    for driver in DRIVERS:
+        with pytest.raises(ValueError, match="transitive"):
+            driver(gens)
+    for argv in CLI_DECISIONS:
+        code, out, err = run_cli(capsys, monkeypatch, argv, gens)
+        assert code == 2 and out == "" and "transitive" in err, argv
+        assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "gens, exit_name", INTRANSITIVE_EXITS, ids=[e for _, e in INTRANSITIVE_EXITS]
+)
+def test_every_exit_rejects_intransitive_input(capsys, monkeypatch, gens, exit_name):
+    for cap in (1, 2, 3):
+        assert rejection_exit(monkeypatch, gens, cap) == exit_name
+    assert_rejected_everywhere(capsys, monkeypatch, gens)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_relabelled_intransitive_input_rejected(capsys, monkeypatch, seed):
+    # relabelling moves alpha, so a copy may leave by another exit than
+    # its original; every exit must reject it
+    rng = random.Random(seed)
+    for gens, _ in INTRANSITIVE_EXITS:
+        assert_rejected_everywhere(capsys, monkeypatch, relabel(gens, rng, extra=2))
+
+
+def test_fixed_alpha_names_transitivity():
+    # without the check the build would report "alpha is fixed by every
+    # generator", which says nothing about the input being at fault
+    for cap in (1, 5):
+        with pytest.raises(ValueError, match="requires a transitive group"):
+            ss_primitivity(FIXES_ALPHA, cap)
 
 
 def test_certificate_fallback_rejects_intransitive_before_block_work(monkeypatch):
@@ -117,10 +232,7 @@ def test_intransitive_prime_degree_still_rejected(capsys, monkeypatch):
     for cap in (1, 2, 3):
         with pytest.raises(ValueError, match="transitive"):
             ss_primitivity(PRIME_INTRANSITIVE, cap)
-    for argv in (
-        ["primitive"], ["primitive", "--uncapped"], ["primitive", "--law", "five-thirds"],
-        ["primitive", "--cap", "1"], ["primitive", "--cap", "2"], ["primitive", "--cap", "3"],
-    ):
+    for argv in CLI_DECISIONS:
         code, out, err = run_cli(capsys, monkeypatch, argv, PRIME_INTRANSITIVE)
         assert code == 2 and out == "" and "transitive" in err, argv
 

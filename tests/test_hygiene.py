@@ -129,8 +129,11 @@ def test_tracer_patch_points_exist():
     tracer = tracing.Tracer(bs)
     with tracer.traced():
         verdict = primitivity.primitivity_main(gens)
+        # only a prime-degree decision walks an orbit to check transitivity
+        prime = primitivity.primitivity_main(build(parse_spec("cyclic(7)")))
     # two H-updates run, so both transversal kinds are built
     assert verdict.kind == "primitive" and verdict.diagnostics.h_updates == 2
+    assert prime.kind == "primitive"
     names = {s[0] for s in tracer.spans}
     assert {
         "primitivity.ss_primitivity", "sift.deep_sift",

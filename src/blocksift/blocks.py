@@ -12,6 +12,7 @@ the project-wide oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Literal
 
 from .perm import GeneratorSet, Permutation, is_transitive
@@ -43,6 +44,20 @@ class BlockSystem:
             for p in b:
                 if self.block_of[p] != bid:
                     raise ValueError("block_of inconsistent with blocks")
+
+    @classmethod
+    def _unchecked(
+        cls, degree: int, block_of: list[int], blocks: list[list[int]]
+    ) -> "BlockSystem":
+        """Wrap a system already known to be an equal-cell partition.
+
+        For systems assembled inside this module only, each proven by its
+        construction and an explicit postcondition; it skips the re-check
+        that ``BlockSystem(...)`` runs on outside input.
+        """
+        bs = object.__new__(cls)
+        bs.degree, bs.block_of, bs.blocks = degree, block_of, blocks
+        return bs
 
     @property
     def num_blocks(self) -> int:
@@ -157,12 +172,16 @@ def blockness_test(gens: GeneratorSet, delta: Iterable[int], alpha: int) -> Bloc
     On success returns the assembled block system. On failure a
     translate delta^(w s) meets a block delta^w' without equalling it, w
     and w' the BFS parent paths of the two and s a generator, and the
-    witness is the word g1 = w s w'^-1. Every translate keeps the order
-    of the sorted candidate, so position i of a translate is the image of
-    delta[i]. The first point of delta^(w s), at position i, that lies in
-    delta^w', at position j, gives beta = delta[i] and gamma = delta[j]:
-    beta is the least point of the candidate that g1 maps into it, found
-    without evaluating or applying g1.
+    witness is the word g1 = w s w'^-1. Every translate is a tuple in the
+    order of the sorted candidate, gathered from its parent by one lookup
+    in the generator's image tuple, so position i of a translate is the
+    image of delta[i]. The first point of delta^(w s), at position i, that
+    lies in delta^w', at position j, gives beta = delta[i] and
+    gamma = delta[j]: beta is the least point of the candidate that g1
+    maps into it, found without evaluating or applying g1.
+    The cells of the system are assembled from ``block_of`` in one pass
+    and checked by an O(n) postcondition, not by ``BlockSystem``'s own
+    check, which is kept for systems from outside.
     """
     n = gens.degree
     delta = sorted(set(delta))
@@ -170,19 +189,21 @@ def blockness_test(gens: GeneratorSet, delta: Iterable[int], alpha: int) -> Bloc
         raise ValueError("alpha must lie in the candidate set")
     if not 1 < len(delta) < n:
         raise ValueError("candidate must be nontrivial (1 < |delta| < n)")
+    size = len(delta)
     block_of = [-1] * n
-    blocks: list[list[int]] = [delta]
+    blocks: list[tuple[int, ...]] = [tuple(delta)]
     parent: list[tuple[int, Permutation] | None] = [None]  # (parent block id, generator)
     for p in delta:
         block_of[p] = 0
     # blocks are walked in creation order while new translates are appended
     for b, pts in enumerate(blocks):
+        take = itemgetter(*pts)  # at least 2 points, so it returns a tuple
         for g in gens.generators:
-            arr = g.images
-            img = [arr[p] for p in pts]
-            ids = {block_of[p] for p in img}
-            if len(ids) == 1:
-                if ids == {-1}:
+            img = take(g.images)
+            ids = itemgetter(*img)(block_of)
+            c = ids[0]
+            if ids.count(c) == size:
+                if c == -1:
                     bid = len(blocks)
                     blocks.append(img)
                     parent.append((b, g))
@@ -190,15 +211,21 @@ def blockness_test(gens: GeneratorSet, delta: Iterable[int], alpha: int) -> Bloc
                         block_of[p] = bid
                 # new, or inside one block and so equal to it: all have |delta| points
                 continue
-            i, c = next((i, block_of[p]) for i, p in enumerate(img) if block_of[p] != -1)
+            i, c = next((i, c) for i, c in enumerate(ids) if c != -1)
             j = blocks[c].index(img[i])
             letters = _path(parent, b) + [g] + [x.inverse() for x in reversed(_path(parent, c))]
             witness = BlockWitness(delta[i], delta[j], Word(n, letters))
             return BlocknessResult("not_block", witness=witness)
-    if len(blocks) * len(delta) != n:
+    if len(blocks) * size != n:
         raise ValueError("blockness_test requires a transitive group: the translates miss a point")
-    system = BlockSystem(n, block_of, [sorted(b) for b in blocks])
-    return BlocknessResult("is_block", system=system)
+    # points ascend, so each cell comes out sorted
+    cells: list[list[int]] = [[] for _ in blocks]
+    for p, bid in enumerate(block_of):
+        cells[bid].append(p)
+    # with the count above, this is every property BlockSystem checks
+    if block_of.count(-1) or any(len(cell) != size for cell in cells):
+        raise InternalError("assembled translates must partition the points")
+    return BlocknessResult("is_block", system=BlockSystem._unchecked(n, block_of, cells))
 
 
 def _path(parent: list[tuple[int, Permutation] | None], b: int) -> list[Permutation]:

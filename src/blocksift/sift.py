@@ -76,7 +76,7 @@ class SiftOutcome:
     def reconstruct(self) -> Permutation:
         g = self.terminal
         for s, t in reversed(self.chain):
-            g = s.eval().inverse() * g * t.eval()
+            g = Word(g.degree, s.inverse_word().letters + (g,) + t.letters).eval()
         return g
 
 
@@ -156,7 +156,8 @@ class SiftState:
             s = lv.witness.word(img.index(lam))
             t = lv.witness.word(lam)
             chain.append((s, t))
-            g = s.eval() * g * t.inverse_word().eval()
+            # s g t^-1 as one word: an empty s or t costs no identity product
+            g = Word(self.n, s.letters + (g,) + t.inverse_word().letters).eval()
         if g.is_identity():
             return SiftOutcome("sifted_to_identity", None, chain, g)
         beta = min(g.support())

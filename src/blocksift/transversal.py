@@ -18,7 +18,7 @@ from typing import Callable
 
 from .perm import GeneratorSet, Permutation
 from .sift import Level, SiftOutcome, SiftState
-from .words import WitnessMap
+from .words import WitnessMap, Word
 
 
 def _close_transversal(
@@ -44,7 +44,7 @@ def _close_transversal(
         for si, arr in enumerate(arrays):
             if in_omega[arr[lam]]:
                 continue
-            elem = rmap.word(lam).eval() * gens[si]
+            elem = Word(state.n, rmap.word(lam).letters + (gens[si],)).eval()
             outcome = state.deep_sift(elem)
             if (on_sift is not None and on_sift(state, outcome)) or state.capped:
                 return None

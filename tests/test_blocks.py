@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+from blocksift import blocks, primitivity
 from blocksift.blocks import (
     BlockSystem,
     atkinson_baseline,
@@ -8,7 +11,8 @@ from blocksift.blocks import (
     validate_block_system,
 )
 from blocksift.perm import GeneratorSet
-from conftest import perm, smallest_invariant_class
+from blocksift.primitivity import primitivity_main, ss_uncapped
+from conftest import perm, relabel, smallest_invariant_class
 
 
 C4 = GeneratorSet(4, [perm(4, (0, 1, 2, 3))])
@@ -163,3 +167,41 @@ def test_minimal_block_matches_partition_oracle_small(small_corpus):
         for lam in range(1, gens.degree):
             expected = set(smallest_invariant_class(gens, {0, lam}))
             assert minimal_block(gens, {0, lam}) == expected, entry.name
+
+
+def test_assembled_systems_equal_the_checked_construction(full_corpus, monkeypatch):
+    # blockness_test builds its system unchecked, from block_of in one pass;
+    # every system it returns, from a build-time try, the scan, the
+    # certificate fallback or the baseline, must equal the one the checked
+    # constructor builds from its cells, field by field
+    calls = []
+    real = blocks.blockness_test
+
+    def recording(gens, delta, alpha):
+        res = real(gens, delta, alpha)
+        calls.append((gens, sorted(set(delta)), res))
+        return res
+
+    monkeypatch.setattr(blocks, "blockness_test", recording)
+    monkeypatch.setattr(primitivity, "blockness_test", recording)
+    hits = 0
+    for entry in full_corpus:
+        for extra in range(-1, 3):
+            gens = entry.gens if extra < 0 else relabel(
+                entry.gens, random.Random(f"{entry.name}/{extra}"), extra
+            )
+            calls.clear()
+            primitivity_main(gens)
+            ss_uncapped(gens)
+            primitivity._capped_driver(gens, 1, "partial_base")
+            atkinson_baseline(gens)
+            for g, delta, res in calls:
+                if res.kind != "is_block":
+                    continue
+                bs = res.system
+                assert bs == BlockSystem.from_blocks(g.degree, bs.blocks), entry.name
+                assert bs.blocks[0] == delta, entry.name
+                assert all(type(cell) is list for cell in bs.blocks)
+                assert validate_block_system(g, bs), entry.name
+                hits += 1
+    assert hits > 450  # all four callers: tries, scan, fallback, baseline

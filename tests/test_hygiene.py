@@ -1,7 +1,8 @@
 """Source hygiene of the package, checked with the stdlib ``ast`` module:
 no unused import, no unreferenced module-level private name, an
-``__all__`` whose every name resolves, and no ``assert`` statement; and
-the names the benchmark's tracer patches still exist and get traced."""
+``__all__`` whose every name resolves, no ``assert`` statement, and the
+unchecked ``BlockSystem`` constructor used in ``blocks`` only; and the
+names the benchmark's tracer patches still exist and get traced."""
 
 import ast
 import importlib.util
@@ -110,6 +111,20 @@ def test_no_assert_statements(path):
     # python -O strips assert statements; an invariant must raise explicitly
     asserts = [node.lineno for node in ast.walk(parse(path)) if isinstance(node, ast.Assert)]
     assert not asserts, f"{path.name}: assert statements on lines {asserts}"
+
+
+def test_unchecked_block_system_stays_in_blocks():
+    # BlockSystem._unchecked skips the partition check; only blockness_test,
+    # which proves its system by construction and a postcondition, may use
+    # it, so a system from anywhere else is always checked
+    users = [
+        path.name for path in MODULES
+        if any(
+            isinstance(node, ast.Attribute) and node.attr == "_unchecked"
+            for node in ast.walk(parse(path))
+        )
+    ]
+    assert users == ["blocks.py"]
 
 
 def test_tracer_patch_points_exist():

@@ -537,6 +537,38 @@ def test_entry_points_match_the_baseline(family):
         assert from_build > 0
 
 
+def test_verdicts_invariant_under_labels_and_generator_order(full_corpus):
+    # primitivity is a property of the group: a relabelled copy, or the same
+    # generators in reversed or rotated order, must get the baseline's kind
+    # from every driver and at caps 1..3, each blocks verdict a valid system
+    # of its own copy; a capped run may only escape with a valid certificate
+    checked = 0
+    for entry in full_corpus:
+        if entry.gens.degree > 128:
+            continue
+        gens = entry.gens
+        primitive = atkinson_baseline(gens) is None
+        rng = random.Random(entry.name)
+        copies = []
+        for copy in (gens, relabel(gens, rng), relabel(gens, rng, 1)):
+            order = copy.generators
+            copies += [copy, GeneratorSet(copy.degree, order[::-1]),
+                       GeneratorSet(copy.degree, order[1:] + order[:1])]
+        for copy in copies:
+            assert (atkinson_baseline(copy) is None) == primitive, entry.name
+            runs = [primitivity_main(copy), ss_uncapped(copy)]
+            runs += [primitivity._capped_driver(copy, cap, "partial_base") for cap in (1, 2, 3)]
+            for i, v in enumerate(runs):
+                if v.kind == "partial_base":
+                    assert i >= 2 and v.certificate.validate(), entry.name
+                    continue
+                assert v.kind == ("primitive" if primitive else "blocks"), entry.name
+                if v.kind == "blocks":
+                    assert v.blocks.nontrivial and validate_block_system(copy, v.blocks)
+                checked += 1
+    assert checked > 1500
+
+
 @pytest.mark.parametrize("k", range(6, 15))
 def test_dihedral_groups_answer_from_the_build(k):
     # Relabelled dihedral(2^k), with two extra random-word generators on odd

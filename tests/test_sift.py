@@ -8,7 +8,7 @@ from blocksift.perm import GeneratorSet, Permutation
 from blocksift.primitivity import primitivity_main, primitivity_subquadratic, ss_uncapped
 from blocksift.sift import SiftState
 from blocksift.transversal import build_point_transversal
-from blocksift.words import WitnessMap
+from blocksift.words import WitnessMap, Word
 from conftest import (
     brute_force_elements,
     enumerate_deep_cube,
@@ -262,3 +262,44 @@ def test_each_element_is_inverted_once(full_corpus):
         spelled = {id(x) for x in elems} | {id(x.inverse()) for x in elems}
         for p in rmap.points:
             assert all(id(g) in spelled for g in rmap.word(p).letters)
+
+
+def test_strip_steps_are_single_word_evaluations(full_corpus, monkeypatch):
+    # a strip step s g t^-1 and a transversal product r_lam s_i are each one
+    # word evaluation: no permutation product runs during a decision, and
+    # no empty word is evaluated into an identity to multiply by
+    rng = random.Random(7)
+    inputs = [
+        (entry.name, entry.gens if extra < 0 else relabel(entry.gens, rng, extra))
+        for entry in full_corpus
+        for extra in range(-1, 3)
+    ]
+    products, empty, steps = [], [], []
+    word_eval, mul, sift = Word.eval, Permutation.__mul__, SiftState.deep_sift
+
+    def counting_eval(self):
+        if not self.letters:
+            empty.append(self)
+        return word_eval(self)
+
+    def counting_mul(self, other):
+        products.append(self)
+        return mul(self, other)
+
+    def counting_sift(self, g):
+        outcome = sift(self, g)
+        steps.append(len(outcome.chain))
+        return outcome
+
+    monkeypatch.setattr(Word, "eval", counting_eval)
+    monkeypatch.setattr(Permutation, "__mul__", counting_mul)
+    monkeypatch.setattr(SiftState, "deep_sift", counting_sift)
+    drivers = (
+        primitivity_main, primitivity_subquadratic, ss_uncapped,
+        lambda g: primitivity._capped_driver(g, 2, "partial_base"),
+    )
+    for name, gens in inputs:
+        for driver in drivers:
+            driver(gens)
+            assert products == [] and empty == [], name
+    assert sum(steps) > 900  # strip steps run

@@ -39,15 +39,22 @@ class GroupSpec:
         return f"{self.family}({','.join(args)})" if args else self.family
 
 
+# A nested spec is the inner group of a wreath, the only family that
+# nests, and each wreath level has d >= 2, so it at least doubles the
+# degree. A spec nested deeper than this has at least 2**63 >
+# sys.maxsize points and could never be built.
+_MAX_NESTING = 62
+
+
 def parse_spec(text: str) -> GroupSpec:
     """Parse a compact spec string like ``"subsets(5,2)"``."""
-    spec, rest = _parse_spec(text)
+    spec, rest = _parse_spec(text, 0)
     if rest.strip():
         raise ValueError(f"trailing text in group spec: {rest!r}")
     return spec
 
 
-def _parse_spec(text: str) -> tuple[GroupSpec, str]:
+def _parse_spec(text: str, depth: int) -> tuple[GroupSpec, str]:
     text = text.lstrip()
     m = re.match(r"([a-zA-Z_][a-zA-Z0-9_-]*)", text)
     if not m:
@@ -63,8 +70,10 @@ def _parse_spec(text: str) -> tuple[GroupSpec, str]:
             if num:
                 args.append(int(num.group()))
                 rest = rest[num.end():]
+            elif depth == _MAX_NESTING:
+                raise ValueError("group spec nested too deeply")
             else:
-                sub, rest = _parse_spec(rest)
+                sub, rest = _parse_spec(rest, depth + 1)
                 args.append(sub)
             rest = rest.lstrip()
             if rest.startswith(","):
@@ -77,10 +86,9 @@ def _parse_spec(text: str) -> tuple[GroupSpec, str]:
     return _spec_from_args(name, args), rest
 
 
-def _spec_from_args(name: str, args: list) -> GroupSpec:
-    family = _ALIASES.get(name, name)
+def _spec_from_args(family: str, args: list) -> GroupSpec:
     if family not in _FAMILIES:
-        raise ValueError(f"unknown group family {name!r}")
+        raise ValueError(f"unknown group family {family!r}")
     params = _FAMILIES[family].params
     if len(args) == len(params) and all(
         isinstance(a, GroupSpec) == (p == "inner") for p, a in zip(params, args)
@@ -255,7 +263,6 @@ _FAMILIES = {
     ),
     "m24": _Family((), mathieu24, lambda: M24_ORDER),
 }
-_ALIASES = {"wreath_imprimitive": "wreath"}
 
 
 def _args(spec: GroupSpec) -> list:
@@ -290,7 +297,7 @@ class CorpusEntry:
     gens: GeneratorSet = field(repr=False)
 
 
-def standard_corpus(max_degree: int = 512) -> list[CorpusEntry]:
+def standard_corpus() -> list[CorpusEntry]:
     """The fixed cross-validation corpus of transitive groups (2 <= n <= 512)."""
     specs = [
         *(f"cyclic({n})" for n in (2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 16, 60, 127, 128, 255, 256, 512)),
@@ -314,8 +321,5 @@ def standard_corpus(max_degree: int = 512) -> list[CorpusEntry]:
     out = []
     for text in specs:
         spec = parse_spec(text)
-        gens = build(spec)
-        if not 2 <= gens.degree <= max_degree:
-            continue
-        out.append(CorpusEntry(spec.describe(), spec, spec_order(spec), gens))
+        out.append(CorpusEntry(spec.describe(), spec, spec_order(spec), build(spec)))
     return out

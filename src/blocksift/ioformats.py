@@ -1,20 +1,29 @@
 """Generator-set serialization: JSON image arrays and 1-based cycle text.
 
 JSON format: ``{"degree": n, "generators": [[images...], ...]}`` with
-0-based images. Cycle text: an optional ``n=<int>;`` header, then one
-generator per parenthesized disjoint-cycle product, whitespace-separated,
-1-based points, fixed points omitted; ``#`` starts a comment to end of
-line. Repeating a point within one generator expression is a parse error.
+0-based images. The cycle-text grammar is stated in ``parse_generators``.
 """
 
 from __future__ import annotations
 
 import json
+import re
 import sys
 
 from .perm import GeneratorSet, Permutation
 
 _MAX_DIGITS = len(str(sys.maxsize))
+_COMMENT = re.compile(r"#[^\n]*")
+# Each part of a pattern below past its first token is optional, so a
+# match on malformed text ends where the text stops fitting: that offset
+# is the error's position. An optional "n=<int>;" header:
+_HEADER = re.compile(r"\s*(n\s*(?:=\s*(\d*)\s*(;)?)?)?")
+# One generator: "(" and its juxtaposed cycles up to the last ")", which
+# is group 2; whitespace ends it. Group 1 is None at the end of the input
+# or where the next character cannot start a generator.
+_GENERATOR = re.compile(r"\s*(?:(\((?:[\s\d,]*\)\()*[\s\d,]*)(\))?)?")
+# Within a generator: a point, or the ")" that closes all but its last cycle.
+_ITEM = re.compile(r"\d+|\)")
 
 
 class ParseError(ValueError):
@@ -26,126 +35,80 @@ class ParseError(ValueError):
         self.col = col
 
 
-class _Scanner:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.line = 1
-        self.col = 1
-
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def advance(self) -> str:
-        ch = self.text[self.pos]
-        self.pos += 1
-        if ch == "\n":
-            self.line += 1
-            self.col = 1
-        else:
-            self.col += 1
-        return ch
-
-    def skip_space(self) -> None:
-        while self.pos < len(self.text):
-            ch = self.peek()
-            if ch == "#":
-                while self.pos < len(self.text) and self.peek() != "\n":
-                    self.advance()
-            elif ch.isspace():
-                self.advance()
-            else:
-                break
-
-    def error(self, message: str) -> ParseError:
-        return ParseError(message, self.line, self.col)
-
-    def read_int(self) -> int:
-        """A decimal integer; each is a degree or a point, so one above
-        sys.maxsize (no list can be that long) is an error at its start.
-        Digit count is tested first: int() refuses over 4300 digits."""
-        if not self.peek().isdigit():
-            raise self.error("expected an integer")
-        line, col = self.line, self.col
-        digits = []
-        while self.peek().isdigit():
-            digits.append(self.advance())
-        text = "".join(digits).lstrip("0") or "0"
-        if len(text) > _MAX_DIGITS or int(text) > sys.maxsize:
-            raise ParseError("integer larger than sys.maxsize", line, col)
-        return int(text)
-
-
 def _parse_cycles(text: str, transitive: bool) -> GeneratorSet:
-    sc = _Scanner(text)
-    sc.skip_space()
+    # a comment becomes spaces of its length, so offsets stay positions
+    text = _COMMENT.sub(lambda c: " " * len(c[0]), text)
+
+    def error(message: str, pos: int) -> ParseError:
+        line = text.count("\n", 0, pos) + 1
+        return ParseError(message, line, pos - text.rfind("\n", 0, pos))
+
+    def integer(digits: str, pos: int) -> int:
+        # each is a degree or a point, so one above sys.maxsize (no list
+        # can be that long) is an error; digit count is tested first, since
+        # int() refuses over 4300 digits
+        digits = digits.lstrip("0") or "0"
+        if len(digits) > _MAX_DIGITS or int(digits) > sys.maxsize:
+            raise error("integer larger than sys.maxsize", pos)
+        return int(digits)
+
+    m = _HEADER.match(text)
     declared = None
-    if sc.peek() == "n":
-        sc.advance()
-        sc.skip_space()
-        if sc.peek() != "=":
-            raise sc.error("expected '=' after 'n'")
-        sc.advance()
-        sc.skip_space()
-        declared = sc.read_int()
+    if m[1]:
+        if m[2] is None:
+            raise error("expected '=' after 'n'", m.end())
+        if not m[2]:
+            raise error("expected an integer", m.start(2))
+        declared = integer(m[2], m.start(2))
         if declared < 1:
-            raise sc.error("degree must be at least 1")
-        sc.skip_space()
-        if sc.peek() != ";":
-            raise sc.error("expected ';' after degree header")
-        sc.advance()
+            raise error("degree must be at least 1", m.end(2))
+        if m[3] is None:
+            raise error("expected ';' after degree header", m.end())
     raw_gens: list[list[list[int]]] = []
     named: set[int] = set()
-    max_point = 0
     while True:
-        sc.skip_space()
-        if not sc.peek():
-            break
-        if sc.peek() != "(":
-            raise sc.error(f"expected '(' but found {sc.peek()!r}")
-        # one generator: juxtaposed cycles with no whitespace between them
-        cycles: list[list[int]] = []
+        m = _GENERATOR.match(text, m.end())
+        if m[1] is None:
+            if m.end() == len(text):
+                break
+            raise error(f"expected '(' but found {text[m.end()]!r}", m.end())
+        cycles: list[list[int]] = [[]]
         used: set[int] = set()
-        while sc.peek() == "(":
-            sc.advance()
-            cyc: list[int] = []
-            while True:
-                sc.skip_space()
-                if sc.peek() == ")":
-                    sc.advance()
-                    break
-                if not sc.peek():
-                    raise sc.error("unterminated cycle")
-                if sc.peek() == ",":
-                    sc.advance()
-                    continue
-                p = sc.read_int()
-                if p < 1:
-                    raise sc.error("points are 1-based")
-                if p in used:
-                    raise sc.error(f"point {p} repeated within one generator")
-                used.add(p)
-                max_point = max(max_point, p)
-                cyc.append(p)
-            if cyc:
-                cycles.append(cyc)
+        for item in _ITEM.finditer(text, m.start(1), m.end(1)):
+            if item[0] == ")":
+                cycles.append([])
+                continue
+            p = integer(item[0], item.start())
+            if p < 1:
+                raise error("points are 1-based", item.start())
+            if p in used:
+                raise error(f"point {p} repeated within one generator", item.start())
+            used.add(p)
+            cycles[-1].append(p - 1)
+        if m[2] is None:
+            end = m.end() == len(text)
+            raise error("unterminated cycle" if end else "expected an integer", m.end())
         raw_gens.append(cycles)
         named |= used
     if not raw_gens:
-        raise sc.error("no generators found")
-    degree = declared if declared is not None else max_point
+        raise error("no generators found", len(text))
+    max_point = max(named, default=0)
+    degree = declared or max_point
     if degree < 1:
-        raise sc.error("cannot infer a positive degree")
+        raise error("cannot infer a positive degree", len(text))
     if max_point > degree:
-        raise sc.error(f"point {max_point} exceeds declared degree {degree}")
+        raise error(f"point {max_point} exceeds declared degree {degree}", len(text))
     if transitive and degree > 1 and len(named) < degree:
         # one of the first len(named) + 1 points is named by no cycle
         fixed = next(p for p in range(1, degree + 1) if p not in named)
         raise ValueError(f"point {fixed} is fixed by every generator, so the group is intransitive")
-    gens = [
-        Permutation.from_cycles(degree, [[p - 1 for p in c] for c in cycles])
-        for cycles in raw_gens
-    ]
+    gens = []
+    for cycles in raw_gens:
+        images = list(range(degree))
+        for cyc in cycles:
+            for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+                images[a] = b
+        gens.append(Permutation(images))
     return GeneratorSet(degree, gens)
 
 
@@ -154,6 +117,8 @@ def _parse_json(text: str) -> GeneratorSet:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", exc.lineno, exc.colno) from exc
+    except RecursionError as exc:
+        raise ParseError("JSON nested too deeply", 1, 1) from exc
     if not isinstance(data, dict) or "degree" not in data or "generators" not in data:
         raise ParseError("JSON input needs 'degree' and 'generators' keys", 1, 1)
     degree = data["degree"]
@@ -180,6 +145,16 @@ def _parse_json(text: str) -> GeneratorSet:
 def parse_generators(text: str, transitive: bool = False) -> GeneratorSet:
     """Parse either supported format (JSON detected by a leading '{').
 
+    Cycle text, as the README states it: an optional ``n=<int>;`` header,
+    then whitespace-separated generators, each one or more juxtaposed
+    ``(...)`` cycles of 1-based points split by whitespace or commas.
+    Whitespace and ``#`` comments may stand between any other two tokens.
+    A ``ParseError`` names the first character that cannot continue the
+    input; a point that is 0, above ``sys.maxsize`` or repeated within its
+    generator, at its first digit; an unterminated cycle or a point above
+    the declared degree, at the end of the input; and JSON nested too
+    deeply for ``json.loads``, at line 1, column 1.
+
     With ``transitive``, cycle text of degree above 1 that names fewer
     points than its degree (a header ``n=`` above the largest point named,
     say) is a ``ValueError`` before any permutation is built: a point no
@@ -187,8 +162,7 @@ def parse_generators(text: str, transitive: bool = False) -> GeneratorSet:
     and a huge declared degree allocates nothing. JSON input holds every
     image, so its size is the size of the text.
     """
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
+    if text.lstrip().startswith("{"):
         return _parse_json(text)
     return _parse_cycles(text, transitive)
 

@@ -35,24 +35,23 @@ def _close_transversal(
     called after every sift, returns a truthy value.
     """
     arrays = [g.images for g in gens]
-    omega, rmap = state.level_deep_orbit(1)
-    in_omega = bytearray(state.n)
-    for lam in omega:
-        in_omega[lam] = 1
-    queue = list(omega)
+    _, rmap = state.level_deep_orbit(1)
+    held = rmap.parent
+    queue = list(rmap.points)
     for lam in queue:  # grows while it is walked
         for si, arr in enumerate(arrays):
-            if in_omega[arr[lam]]:
+            if held[arr[lam]] >= 0:
                 continue
             elem = Word(state.n, rmap.word(lam).letters + (gens[si],)).eval()
             outcome = state.deep_sift(elem)
             if (on_sift is not None and on_sift(state, outcome)) or state.capped:
                 return None
-            omega, rmap = state.level_deep_orbit(1)
-            for p in omega:
-                if not in_omega[p]:
-                    in_omega[p] = 1
-                    queue.append(p)
+            # the deep orbit only grows: each subset product of the old
+            # X* is one of the new, so the new points are those not held
+            old_held = held
+            _, rmap = state.level_deep_orbit(1)
+            held = rmap.parent
+            queue += [p for p in rmap.points if old_held[p] < 0]
     return rmap
 
 

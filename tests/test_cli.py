@@ -126,12 +126,19 @@ class TestPrimitive:
         # is rejected before any permutation of the declared degree is built
         built = []
         monkeypatch.setattr(
-            blocksift.perm.Permutation, "from_cycles",
-            classmethod(lambda cls, n, cycles: built.append(n)),
+            blocksift.perm.Permutation, "__init__",
+            lambda self, images: built.append(len(images)),
         )
         code, out, err = run(capsys, monkeypatch, command, stdin=text)
         assert code == 2 and out == "" and "intransitive" in err
         assert built == []
+
+    def test_deeply_nested_json_exits_2(self, capsys, monkeypatch, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text('{"degree":2,"generators":' + "[" * 200_000)
+        code, out, err = run(capsys, monkeypatch, ["primitive", "--in", str(path)])
+        assert code == 2 and out == "" and "nested too deeply" in err
+        assert err.startswith("error:") and err.count("\n") == 1
 
     @pytest.mark.parametrize("flags", [
         ["--uncapped", "--cap", "1", "--law", "five-thirds"],
@@ -215,6 +222,12 @@ class TestGeneratorPipeline:
         for spec in ("cyclic", "froz(3)"):
             code, out, err = run(capsys, monkeypatch, ["gen", spec])
             assert code == 2 and out == "" and err.startswith("error:"), spec
+
+    def test_gen_deeply_nested_spec_exits_2(self, capsys, monkeypatch):
+        spec = "wreath(" * 1200 + "cyclic(2)" + ",2)" * 1200
+        code, out, err = run(capsys, monkeypatch, ["gen", spec])
+        assert code == 2 and out == "" and "nested too deeply" in err
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_gen_takes_no_family_flags(self, capsys, monkeypatch):
         code, out, err = run(capsys, monkeypatch, ["gen", "--family", "cyclic", "--n", "4"])

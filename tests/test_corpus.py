@@ -9,7 +9,6 @@ from blocksift.corpus import (
     on_k_subsets,
     parse_spec,
     spec_order,
-    standard_corpus,
     wreath_canonical_blocks,
 )
 from blocksift.perm import is_transitive, orbit
@@ -38,6 +37,14 @@ class TestSpecParsing:
         for text in ("", "cyclic", "cyclic(", "froz(3)", "cyclic(3) junk"):
             with pytest.raises(ValueError):
                 parse_spec(text)
+
+    def test_nesting_bound(self):
+        # 63 nested wreaths would have at least 2**63 points
+        def nested(depth):
+            return "wreath(" * depth + "cyclic(2)" + ",2)" * depth
+        assert parse_spec(nested(62)).describe() == nested(62)
+        with pytest.raises(ValueError, match="nested too deeply"):
+            parse_spec(nested(63))
 
 
 class TestBuilders:
@@ -108,5 +115,5 @@ class TestStandardCorpus:
         names = [e.name for e in full_corpus]
         assert len(names) == len(set(names))
 
-    def test_degree_cap_respected(self):
-        assert all(e.gens.degree <= 128 for e in standard_corpus(max_degree=128))
+    def test_degree_cap_respected(self, full_corpus):
+        assert max(e.gens.degree for e in full_corpus) == 512

@@ -1,9 +1,10 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from blocksift.ioformats import ParseError, emit_generators, parse_generators
-from blocksift.perm import GeneratorSet
+from blocksift.perm import GeneratorSet, Permutation
 from conftest import perm
 
 
@@ -29,6 +30,13 @@ class TestJsonFormat:
             with pytest.raises(ParseError):
                 parse_generators(text)
 
+    def test_deep_nesting_is_parse_error(self):
+        # json.loads recurses once per nesting level
+        for text in ('{"degree":2,"generators":' + "[" * 200_000, '{"a":' * 200_000):
+            with pytest.raises(ParseError) as ei:
+                parse_generators(text)
+            assert "nested too deeply" in str(ei.value)
+            assert (ei.value.line, ei.value.col) == (1, 1)
 
     def test_bool_images_rejected(self):
         # JSON true/false are bools, which would pass as the transposition
@@ -96,6 +104,40 @@ class TestCycleFormat:
         with pytest.raises(ParseError):
             parse_generators("(0 1)")
 
+    @pytest.mark.parametrize("text, message, pos", [
+        ("nx2", "expected '=' after 'n'", (1, 2)),
+        ("n = x", "expected an integer", (1, 5)),
+        ("n=0;(1)", "degree must be at least 1", (1, 4)),
+        ("n=3 (1 2)", "expected ';' after degree header", (1, 5)),
+        ("n=3; (1 2)x", "expected '(' but found 'x'", (1, 11)),
+        ("(9 33n", "expected an integer", (1, 6)),
+        ("(1 2)(3 x)", "expected an integer", (1, 9)),
+        ("(1 2)\n(3 4", "unterminated cycle", (2, 5)),
+        ("(1 # a comment\n 2 3) # and (another\n(4 0)", "points are 1-based", (3, 4)),
+        ("(1 2)(2 x)", "point 2 repeated within one generator", (1, 7)),
+        ("n=2; (1 3) # end", "point 3 exceeds declared degree 2", (1, 17)),
+        ("# only a comment\n", "no generators found", (2, 1)),
+        ("() ()", "cannot infer a positive degree", (1, 6)),
+    ])
+    def test_error_names_first_character_that_cannot_continue(self, text, message, pos):
+        # a semantic fault in a point is named at the point's start; one
+        # seen only once all points are read is named at the end of input
+        with pytest.raises(ParseError) as ei:
+            parse_generators(text)
+        assert str(ei.value).startswith(message)
+        assert (ei.value.line, ei.value.col) == pos
+
+    def test_separators_and_comments_between_tokens(self):
+        gens = parse_generators("n = 5 ; # header\n(1,2 ,3)(4\t5)\n# c\n(1\n,5)")
+        assert gens == GeneratorSet(5, [perm(5, (0, 1, 2), (3, 4)), perm(5, (0, 4))])
+
+    def test_unicode_decimal_digits_are_digits(self):
+        # int() reads every Unicode decimal digit; a superscript is no digit
+        assert parse_generators("(\u0661 \u0663)").degree == 3
+        with pytest.raises(ParseError) as ei:
+            parse_generators("(1 2\u00b2)")
+        assert (ei.value.line, ei.value.col) == (1, 5)
+
 
 class TestRoundTrips:
     def test_both_formats_on_corpus(self, full_corpus):
@@ -112,3 +154,26 @@ class TestRoundTrips:
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError):
             emit_generators(GeneratorSet(2, [perm(2, (0, 1))]), "xml")
+
+
+generator_sets = st.integers(1, 9).flatmap(
+    lambda n: st.lists(
+        st.permutations(list(range(n))).map(Permutation), min_size=1, max_size=4
+    ).map(lambda gens: GeneratorSet(n, gens))
+)
+
+
+class TestBoundaryProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(generator_sets, st.sampled_from(["json", "cycles"]))
+    def test_emit_then_parse_round_trips(self, gens, fmt):
+        # intransitive sets too: only transitive=False accepts them all
+        assert parse_generators(emit_generators(gens, fmt)) == gens
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.text(alphabet="()()  ,\n\t#n=;0123456789x\u0663\u00b2", max_size=40))
+    def test_cycle_text_parses_or_raises_value_error(self, text):
+        try:
+            parse_generators(text, transitive=True)
+        except ValueError:
+            pass

@@ -182,6 +182,14 @@ def blockness_test(gens: GeneratorSet, delta: Iterable[int], alpha: int) -> Bloc
     The cells of the system are assembled from ``block_of`` in one pass
     and checked by an O(n) postcondition, not by ``BlockSystem``'s own
     check, which is kept for systems from outside.
+
+    When |delta| divides n, the walk stops before the last block, number
+    m - 1 for m = n / |delta|. At that point the m translates found are
+    disjoint and of |delta| points each, so they partition the points.
+    The walk of blocks 0..m-2 found no witness, so each generator maps
+    each of them onto a block; being a bijection, it maps them onto m - 1
+    distinct blocks, and so it maps block m - 1 onto the one block left.
+    Walking block m - 1 could thus give neither a witness nor a new block.
     """
     n = gens.degree
     delta = sorted(set(delta))
@@ -195,8 +203,11 @@ def blockness_test(gens: GeneratorSet, delta: Iterable[int], alpha: int) -> Bloc
     parent: list[tuple[int, Permutation] | None] = [None]  # (parent block id, generator)
     for p in delta:
         block_of[p] = 0
+    last = n // size - 1 if n % size == 0 else -1
     # blocks are walked in creation order while new translates are appended
     for b, pts in enumerate(blocks):
+        if b == last:
+            break  # the implied last translate, see above
         take = itemgetter(*pts)  # at least 2 points, so it returns a tuple
         for g in gens.generators:
             img = take(g.images)

@@ -4,8 +4,11 @@ A :class:`Word` is a flat sequence of letters, each a :class:`Permutation`,
 evaluated left to right under the project-wide right-action convention.
 An inverted letter is the inverse its permutation caches, so inverting a
 word twice gives back the very same letter objects and each element's
-inverse image tuple is built at most once. A word's letters, read as a
-list X, also name the cube C(X): the set of subset products
+inverse image tuple is built at most once. It is built only when needed:
+the deep cube maps its first few points through an element's inverse by
+searching the element's image tuple, and the witness map puts in the
+inverse only when a word through such a link is built. A word's letters,
+read as a list X, also name the cube C(X): the set of subset products
 x1^e1 ... xj^ej (e in {0,1}).
 """
 
@@ -47,6 +50,14 @@ class Word:
         return Word(self.degree, tuple(g.inverse() for g in reversed(self.letters)))
 
 
+# A deep-cube step through the inverse of an element that has not built
+# one maps each held point by ``images.index``, a C-speed search that
+# builds nothing, while the map holds at most this many points. At n =
+# 16384 one search takes about 0.13 ms and a full inverse pass about
+# 0.97 ms, so past a few points the inverse is built and cached instead.
+_SEARCHED_POINTS = 4
+
+
 class WitnessMap:
     """Witness words of the points a cube expansion reaches, as parent links.
 
@@ -55,15 +66,19 @@ class WitnessMap:
     parent with no letter, and an undiscovered point has parent -1.
     ``points`` lists the discovered points in discovery order. Words are
     built on access by walking the links, so recording a point costs two
-    stores regardless of how many witness words are ever needed.
+    stores regardless of how many witness words are ever needed. A point
+    reached through the inverse of an element that has not built it is
+    linked to the element itself and listed in ``inverted``; a word
+    through that link holds ``x.inverse()``, built then.
     """
 
-    __slots__ = ("points", "parent", "letter")
+    __slots__ = ("points", "parent", "letter", "inverted")
 
     def __init__(self, degree: int, roots: Iterable[int]):
         self.points: list[int] = []
         self.parent = [-1] * degree
         self.letter: list[Permutation | None] = [None] * degree
+        self.inverted: set[int] = set()
         for p in roots:
             if not 0 <= p < degree:
                 raise ValueError(f"point {p} out of range for degree {degree}")
@@ -85,6 +100,19 @@ class WitnessMap:
                 letter[q] = x
                 points.append(q)
 
+    def expand_inverse(self, x: Permutation) -> None:
+        """One cube step by ``x^-1``, building no inverse: each held point
+        is mapped to its preimage under ``x`` by searching ``x.images``."""
+        index = x.images.index
+        parent, letter, points, inverted = self.parent, self.letter, self.points, self.inverted
+        for p in points[:]:
+            q = index(p)
+            if parent[q] < 0:
+                parent[q] = p
+                letter[q] = x
+                inverted.add(q)
+                points.append(q)
+
     def __contains__(self, p: object) -> bool:
         return isinstance(p, int) and 0 <= p < len(self.parent) and self.parent[p] >= 0
 
@@ -92,11 +120,11 @@ class WitnessMap:
         """The witness word mapping p's source to p."""
         if p not in self:
             raise KeyError(p)
-        parent, letter = self.parent, self.letter
+        parent, letter, inverted = self.parent, self.letter, self.inverted
         rev = []
         x = letter[p]
         while x is not None:
-            rev.append(x)
+            rev.append(x.inverse() if p in inverted else x)
             p = parent[p]
             x = letter[p]
         rev.reverse()
@@ -127,9 +155,27 @@ def cube_set_image(x: Word, delta: Iterable[int]) -> tuple[list[int], WitnessMap
 def deep_cube_orbit(xstar: Word, beta: int) -> tuple[list[int], WitnessMap]:
     """Image set of ``beta`` under the deep cube C(X*)^-1 C(X*).
 
-    Runs :func:`cube_set_image` over the concatenation X*^-1, X*, since
-    C(X)^-1 = C(X^-1) for X^-1 the reversed list of inverses; every output
-    point gets a word of length <= 2|X*| mapping ``beta`` to it.
+    Expands like :func:`cube_set_image` over the concatenation X*^-1, X*,
+    since C(X)^-1 = C(X^-1) for X^-1 the reversed list of inverses; every
+    output point gets a word of length <= 2|X*| mapping ``beta`` to it.
+    A step of the X*^-1 half uses the inverse an element caches if it has
+    one; otherwise, while the map holds at most ``_SEARCHED_POINTS``
+    points, it searches the element's images and records inverted links,
+    and only past that does it build the inverse. Points, order and words
+    are those of the expansion over ``xstar.inverse_word()``, with the
+    very same inverse objects as letters.
     """
-    full = Word(xstar.degree, xstar.inverse_word().letters + xstar.letters)
-    return cube_set_image(full, [beta])
+    wit = WitnessMap(xstar.degree, [beta])
+    n = xstar.degree
+    for x in reversed(xstar.letters):
+        if len(wit.points) == n:
+            break
+        if x._inv is None and len(wit.points) <= _SEARCHED_POINTS:
+            wit.expand_inverse(x)
+        else:
+            wit.expand(x.inverse())
+    for x in xstar.letters:
+        if len(wit.points) == n:
+            break
+        wit.expand(x)
+    return wit.points, wit

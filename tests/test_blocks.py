@@ -205,3 +205,86 @@ def test_assembled_systems_equal_the_checked_construction(full_corpus, monkeypat
                 assert validate_block_system(g, bs), entry.name
                 hits += 1
     assert hits > 450  # all four callers: tries, scan, fallback, baseline
+
+
+def reference_blockness(gens, delta, alpha):
+    """``blockness_test`` walked point by point over every block, the last
+    one included: ("is_block", cells) or ("not_block", beta, gamma, letters)."""
+    n = gens.degree
+    delta = sorted(set(delta))
+    block_of = [-1] * n
+    blocks, parent = [delta], [None]
+    for p in delta:
+        block_of[p] = 0
+    for b, pts in enumerate(blocks):
+        for g in gens.generators:
+            img = [g.images[p] for p in pts]
+            ids = [block_of[q] for q in img]
+            if ids.count(ids[0]) == len(ids):
+                if ids[0] == -1:
+                    for q in img:
+                        block_of[q] = len(blocks)
+                    blocks.append(img)
+                    parent.append((b, g))
+                continue
+            i = next(i for i, c in enumerate(ids) if c != -1)
+            j = blocks[ids[i]].index(img[i])
+            paths = []
+            for end in (b, ids[i]):
+                path = []
+                while parent[end] is not None:
+                    end, h = parent[end]
+                    path.append(h)
+                paths.append(path[::-1])
+            letters = paths[0] + [g] + [h.inverse() for h in reversed(paths[1])]
+            return ("not_block", delta[i], delta[j], letters)
+    if len(blocks) * len(delta) != n:
+        raise ValueError("translates miss a point")
+    return ("is_block", [sorted(cell) for cell in blocks])
+
+
+def test_blockness_matches_a_walk_of_every_block(full_corpus, monkeypatch):
+    # blockness_test stops before the last of n/|delta| translates; on every
+    # candidate the drivers and the baseline test, hits and misses alike,
+    # it must answer as the full walk does, down to the witness letters
+    calls = []
+    real = blocks.blockness_test
+
+    def recording(gens, delta, alpha):
+        calls.append((gens, list(delta), alpha))
+        return real(gens, delta, alpha)
+
+    monkeypatch.setattr(blocks, "blockness_test", recording)
+    monkeypatch.setattr(primitivity, "blockness_test", recording)
+    for entry in full_corpus:
+        for extra in range(-1, 3):
+            gens = entry.gens if extra < 0 else relabel(
+                entry.gens, random.Random(f"{entry.name}/{extra}"), extra
+            )
+            primitivity_main(gens)
+            ss_uncapped(gens)
+            primitivity._capped_driver(gens, 1, "partial_base")
+            atkinson_baseline(gens)
+    kinds = set()
+    for gens, delta, alpha in calls:
+        res, ref = real(gens, delta, alpha), reference_blockness(gens, delta, alpha)
+        kinds.add(res.kind)
+        assert res.kind == ref[0]
+        if res.kind == "is_block":
+            assert res.system.blocks == ref[1]
+        else:
+            wit = res.witness
+            assert (wit.beta, wit.gamma) == ref[1:3]
+            assert len(wit.word.letters) == len(ref[3])
+            assert all(a is b for a, b in zip(wit.word.letters, ref[3]))
+    assert kinds == {"is_block", "not_block"}
+    # {0, 3} has all 3 translates once block 0 is walked, and the first
+    # generator splits the second one: a stop any earlier misses it
+    gens = GeneratorSet(6, [perm(6, (0, 5), (1, 2, 3)), perm(6, (0, 2, 3, 4, 1, 5))])
+    assert real(gens, {0, 3}, 0).kind == reference_blockness(gens, {0, 3}, 0)[0] == "not_block"
+    # with |delta| dividing n the stop is armed, yet translates that miss a
+    # point still raise: two 4-cycles on 8 points, {0, 2} has 2 translates
+    two_cycles = GeneratorSet(8, [perm(8, (0, 1, 2, 3), (4, 5, 6, 7))])
+    for test in (real, reference_blockness):
+        with pytest.raises(ValueError):
+            test(two_cycles, {0, 2}, 0)

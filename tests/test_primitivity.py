@@ -597,6 +597,27 @@ def test_cyclic_misses_answer_from_the_scan(spec, seed):
     assert d.early_tests == 0 and d.candidates_tested >= 1
 
 
+def test_cyclic_decisions_build_no_inverse(monkeypatch):
+    # Relabelled cyclic(2^k) answers from the build, and no word it builds
+    # holds an inverted letter: the deep cube maps its few points through
+    # inverses by searching image tuples, so no inverse is ever built.
+    built = []
+    real = Permutation.inverse
+
+    def spy(g):
+        if g._inv is None:
+            built.append(g)
+        return real(g)
+
+    monkeypatch.setattr(Permutation, "inverse", spy)
+    for k in range(8, 15):
+        spec = f"cyclic({2 ** k})"
+        gens = relabel(build(parse_spec(spec)), random.Random(f"{spec}/0"))
+        v = primitivity_main(gens)
+        assert v.kind == "blocks" and validate_block_system(gens, v.blocks), spec
+        assert built == [], spec
+
+
 def test_build_time_tests_get_divisor_sized_candidates(monkeypatch, full_corpus):
     # Block sizes divide the degree, so a build-time blockness test, which
     # is run only for its hit, never gets a candidate of any other size, nor

@@ -237,3 +237,55 @@ def test_tracked_doubling_matches_brute_force(data):
     assert len(delta) == 2 ** len(cube)
     images = {g.apply(root) for g in enumerate_cube(cube)}
     assert images == delta
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_deep_cube_orbit_matches_eager_reference(data):
+    # deep_cube_orbit builds an inverse only past a few points; its points,
+    # their order and every word must be those of the expansion over
+    # X*^-1, X* with every inverse built, down to the letter objects
+    rng = random.Random(data.draw(st.integers(0, 2**16)))
+    n = data.draw(st.integers(2, 40))
+    xs = []
+    for _ in range(data.draw(st.integers(1, 3))):  # one list X_i per level
+        level = []
+        for _ in range(data.draw(st.integers(1, 3))):
+            images = list(range(n))
+            rng.shuffle(images)
+            level.append(Permutation(images))
+        xs = level + xs  # X* = X_l, ..., X_1
+    cached = data.draw(st.lists(st.booleans(), min_size=len(xs), max_size=len(xs)))
+    for x, c in zip(xs, cached):
+        if c:
+            x.inverse()
+    beta = data.draw(st.integers(0, n - 1))
+    pts, rmap = deep_cube_orbit(Word(n, xs), beta)
+    # an element without an inverse keeps none if its step met at most 4
+    # points; the held sets are replayed here on inverted image tuples
+    held = [beta]
+    for x, c in zip(reversed(xs), reversed(cached)):
+        if not c and len(held) <= 4:
+            assert x._inv is None
+        images = _letter_images(x, True)
+        held += [q for q in dict.fromkeys(images[p] for p in held) if q not in held]
+    spec = [(x, True) for x in reversed(xs)] + [(x, False) for x in xs]
+    ref_order, ref = reference_cube_set_image(spec, [beta])
+    assert pts == rmap.points == ref_order
+    for p in pts:
+        _, letters = ref[p]
+        assert same_letters(rmap.word(p), letters)
+        assert rmap.word(p).apply(beta) == p
+
+
+def test_deep_cube_orbit_inverts_on_word_access():
+    # beta's first two deep-cube steps map 1 and 2 points through inverses
+    # not yet built: the links record the elements, and a word through
+    # such a link holds the inverse the element caches from then on
+    x, y = perm(8, tuple(range(8))), perm(8, (0, 2, 4, 6), (1, 3, 5, 7))
+    pts, rmap = deep_cube_orbit(Word(8, [x, y]), 0)
+    assert x._inv is None and y._inv is None
+    assert pts[:4] == [0, 6, 7, 5]  # y^-1, then x^-1
+    w = rmap.word(5)
+    assert same_letters(w, [y.inverse(), x.inverse()]) and x._inv is not None
+    assert same_letters(rmap.word(5), w.letters)

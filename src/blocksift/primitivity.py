@@ -10,7 +10,7 @@ closed one H-orbit at a time and skipped once they pass n/p. At prime
 degree n/p = 1, so the answer is ``primitive`` before anything is built.
 While H is still trivial, a block is also tried during the point
 transversal build, after each sift that grows the first level: the cycle
-through alpha of the new element, then of its quotient by the element
+through alpha of the new element, then of its product with the element
 appended before it.
 The front ends pick the cap (5 log n, (9/2) n^(1/3), or n) and handle the
 certificate fallback.
@@ -114,9 +114,10 @@ def ss_primitivity(gens: GeneratorSet, cap: int) -> Verdict:
     While the state has one level, H = <X_2*> is trivial, and the scan's
     candidate for r is alpha^<r>, the cycle of r through alpha. So after
     each sift that appends an element x to the first level, the build
-    closes alpha^<x>; if that misses, it also closes alpha^<y^-1 x>, y the
+    closes alpha^<x>; if that misses, it also closes alpha^<x y>, y the
     element appended before x. (Two reflections of a dihedral group give
-    a rotation, whose cycle through alpha is a block.) A cycle is tested
+    a rotation, whose cycle through alpha is a block; rotations by a and
+    b give one by a + b, of the parity of a - b.) A cycle is tested
     only if it has at most n/p points, its size divides n, and its
     blockness test makes at most |Delta_1| translate checks ((n / |delta|)
     |S| of them, |S| the number of generators). A block ends the build
@@ -154,7 +155,7 @@ def ss_primitivity(gens: GeneratorSet, cap: int) -> Verdict:
 
     def test_cycle(delta: list[int], tracked: int) -> bool:
         size = len(delta)
-        # a quotient y^-1 x can fix alpha, and one point is no candidate
+        # a product x y can fix alpha, and one point is no candidate
         if not 1 < size <= dmax or n % size or (n // size) * len(gens) > tracked:
             return False
         diag.early_tests += 1
@@ -177,18 +178,17 @@ def ss_primitivity(gens: GeneratorSet, cap: int) -> Verdict:
             return True
         if len(first.elems) < 2:
             return False
-        # the cycle of r = y^-1 x through alpha, y the element appended
-        # before x, walked by lookups without building r; y^-1 is cached,
-        # since every level-1 deep-orbit rebuild inverts the level's elements
+        # the cycle of r = x y through alpha, y the element appended before
+        # x, walked by lookups without building r or any inverse
         diag.early_tries += 1
-        ximg, yinv = x.images, first.elems[-2].inverse().images
+        ximg, yimg = x.images, first.elems[-2].images
         delta = [alpha]
-        p = ximg[yinv[alpha]]
+        p = yimg[ximg[alpha]]
         while p != alpha:
             delta.append(p)
             if len(delta) > dmax:
                 break
-            p = ximg[yinv[p]]
+            p = yimg[ximg[p]]
         return test_cycle(delta, tracked)
 
     state, rmap = build_point_transversal(gens, alpha, cap, try_block)

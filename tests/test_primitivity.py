@@ -572,7 +572,7 @@ def test_verdicts_invariant_under_labels_and_generator_order(full_corpus):
 @pytest.mark.parametrize("k", range(6, 15))
 def test_dihedral_groups_answer_from_the_build(k):
     # Relabelled dihedral(2^k), with two extra random-word generators on odd
-    # seeds. Once the first level holds two reflections, their quotient is a
+    # seeds. Once the first level holds two reflections, their product is a
     # rotation whose cycle through alpha is a block, so the build answers
     # and the scan never runs.
     spec = f"dihedral({2 ** k})"
@@ -584,12 +584,13 @@ def test_dihedral_groups_answer_from_the_build(k):
         assert d.early_tests >= 1 and d.candidates_tested == 0, seed
 
 
-@pytest.mark.parametrize("spec, seed", [("cyclic(1024)", 0), ("cyclic(4096)", 3)])
-def test_cyclic_misses_answer_from_the_scan(spec, seed):
-    # Relabelled cyclic(2^k) with two extra generators whose build-time tries
-    # all miss: the first level holds an odd rotation and even rotations
-    # with cycles too short for the budget, and every quotient is one of
-    # those. No try is tested, so the full build and scan find the block.
+@pytest.mark.parametrize("spec, seed", [("dihedral(64)", 2), ("dihedral(128)", 4)])
+def test_build_misses_answer_from_the_scan(spec, seed):
+    # Relabelled dihedral(2^k) with two extra generators whose build-time
+    # tries all miss: every cycle through alpha they walk has 2 points (n/2
+    # translates per generator, past the budget) or n points (past n/2),
+    # and a second level opens before any is tested, so the full build and
+    # scan find the block.
     gens = relabel(build(parse_spec(spec)), random.Random(f"{spec}/{seed}"), 2)
     v = primitivity_main(gens)
     d = v.diagnostics
@@ -621,8 +622,7 @@ def test_cyclic_decisions_build_no_inverse(monkeypatch):
 def test_build_time_tests_get_divisor_sized_candidates(monkeypatch, full_corpus):
     # Block sizes divide the degree, so a build-time blockness test, which
     # is run only for its hit, never gets a candidate of any other size, nor
-    # a single point: in relabelled subsets(5,2), seed 2, a quotient y^-1 x
-    # fixes alpha.
+    # a single point, as a product x y that fixes alpha would be.
     sizes = []  # (degree, candidate size) of each build-time test
     in_build = False
     real_test = primitivity.blockness_test

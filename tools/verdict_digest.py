@@ -2,8 +2,9 @@
 
 Run from the repository root::
 
-    python tools/verdict_digest.py          # the digest
-    python tools/verdict_digest.py --cases  # one JSON line per case instead
+    python tools/verdict_digest.py           # the digest
+    python tools/verdict_digest.py --cases   # one JSON line per case instead
+    python tools/verdict_digest.py --oracle  # also check against the baseline
 
 Each case is a group and a driver: ``primitivity_main``, ``ss_uncapped``
 and ``_capped_driver`` at caps 1, 2 and 3 (escape ``partial_base``). The
@@ -17,6 +18,13 @@ and after it: copy this one file into a checkout of the older commit and
 run it there too. For that it needs nothing but the standard library and
 the package under ``src`` next to it, so it keeps its own copy of the
 tests' relabelling.
+
+A change that moves the digest on purpose shows with ``--oracle`` that
+the verdicts are still right: every ``primitive`` or ``blocks`` kind is
+compared with ``atkinson_baseline`` on its group, and every block system
+is validated against the generators. The last line gives the number of
+mismatches, and the exit status is 1 if there is any. Escape and
+partial-base kinds claim no answer, so the baseline cannot judge them.
 """
 
 from __future__ import annotations
@@ -30,6 +38,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from blocksift.blocks import atkinson_baseline, validate_block_system  # noqa: E402
 from blocksift.corpus import standard_corpus  # noqa: E402
 from blocksift.perm import GeneratorSet, Permutation  # noqa: E402
 from blocksift.primitivity import _capped_driver, primitivity_main, ss_uncapped  # noqa: E402
@@ -70,38 +79,54 @@ def groups():
             yield f"{entry.name}/relabel+{extra}", relabel(entry.gens, rng, extra)
 
 
-def records():
-    for name, gens in groups():
-        for driver, decide in DRIVERS:
-            v = decide(gens)
-            cert = v.certificate
-            yield {
-                "group": name,
-                "driver": driver,
-                "kind": v.kind,
-                "blocks": v.blocks.blocks if v.blocks else None,
-                "certificate": (
-                    [[beta, list(g.images)] for beta, g in cert.entries] if cert else None
-                ),
-                "diagnostics": v.diagnostics.as_dict(),
-            }
+def record(group: str, driver: str, v) -> dict:
+    cert = v.certificate
+    return {
+        "group": group,
+        "driver": driver,
+        "kind": v.kind,
+        "blocks": v.blocks.blocks if v.blocks else None,
+        "certificate": [[beta, list(g.images)] for beta, g in cert.entries] if cert else None,
+        "diagnostics": v.diagnostics.as_dict(),
+    }
+
+
+def oracle_mismatch(gens: GeneratorSet, v, baseline) -> bool:
+    """True if a ``primitive`` or ``blocks`` verdict disagrees with the
+    baseline's answer, or its block system is not one of the group."""
+    if v.kind == "primitive":
+        return baseline is not None
+    if v.kind == "blocks":
+        return baseline is None or not validate_block_system(gens, v.blocks)
+    return False
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--cases", action="store_true",
                         help="print one JSON record per case instead of the digest")
+    parser.add_argument("--oracle", action="store_true",
+                        help="also check every verdict against atkinson_baseline")
     args = parser.parse_args()
     digest = hashlib.sha256()
-    count = 0
-    for rec in records():
-        line = json.dumps(rec, sort_keys=True)
-        if args.cases:
-            print(line)
-        digest.update(line.encode() + b"\n")
-        count += 1
+    count = mismatches = 0
+    for name, gens in groups():
+        baseline = atkinson_baseline(gens) if args.oracle else None
+        for driver, decide in DRIVERS:
+            v = decide(gens)
+            line = json.dumps(record(name, driver, v), sort_keys=True)
+            if args.cases:
+                print(line)
+            digest.update(line.encode() + b"\n")
+            count += 1
+            if args.oracle and oracle_mismatch(gens, v, baseline):
+                mismatches += 1
+                print(f"oracle mismatch: {name} {driver} {v.kind}", file=sys.stderr)
     if not args.cases:
         print(f"{digest.hexdigest()}  ({count} cases)")
+    if args.oracle:
+        print(f"{mismatches} oracle mismatches in {count} cases")
+        sys.exit(1 if mismatches else 0)
 
 
 if __name__ == "__main__":

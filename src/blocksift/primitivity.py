@@ -280,6 +280,13 @@ def find_blocks_from_certificate(
         raise ValueError("certificate fails its witness conditions")
     if not is_transitive(gens):
         raise ValueError("find_blocks_from_certificate requires a transitive group")
+    return _blocks_from_certificate(gens, cert)
+
+
+def _blocks_from_certificate(gens: GeneratorSet, cert: Certificate) -> BlockSystem | None:
+    """``find_blocks_from_certificate`` on a valid certificate of a group
+    already known to be transitive, with no checks."""
+    n = gens.degree
     for beta, g in cert.entries:
         m = minimal_block(gens, [beta, g.images[beta]])
         if 1 < len(m) < n:
@@ -294,11 +301,13 @@ def _capped_driver(gens: GeneratorSet, cap: int, escape: VerdictKind) -> Verdict
     """The one decision path: the capped loop, then the certificate fallback.
 
     A partial base whose certificate yields no block ends in ``escape``.
+    ``ss_primitivity`` has proven transitivity and checked the certificate
+    before it returns a partial base, so the fallback checks neither again.
     """
     v = ss_primitivity(gens, cap)
     if v.kind != "partial_base":
         return v
-    bs = find_blocks_from_certificate(gens, v.certificate)
+    bs = _blocks_from_certificate(gens, v.certificate)
     if bs is not None:
         return Verdict("blocks", blocks=bs, diagnostics=v.diagnostics)
     return Verdict(escape, certificate=v.certificate, diagnostics=v.diagnostics)

@@ -100,18 +100,22 @@ def test_transitivity_checked_once_per_decision(monkeypatch):
 def test_certificate_fallback_checks_transitivity_once(monkeypatch):
     # cap 3 ends subsets(30,2) in a partial base of 4 entries, none of which
     # seeds a proper block. Its build passes the cap before alpha's orbit is
-    # closed, so the driver walks the orbit once; the fallback checks once
-    # for all its entries
+    # closed, so the driver walks the orbit once, and its fallback trusts it
     calls = count_transitivity_checks(monkeypatch)
-    v = _capped_driver(build(parse_spec("subsets(30,2)")), 3, "partial_base")
+    gens = build(parse_spec("subsets(30,2)"))
+    v = _capped_driver(gens, 3, "partial_base")
     assert v.kind == "partial_base" and len(v.certificate) == 4
-    assert len(calls) == 2
+    assert len(calls) == 1
+    # the public fallback checks once for all its entries
+    calls.clear()
+    assert find_blocks_from_certificate(gens, v.certificate) is None
+    assert len(calls) == 1
     # subsets(6,2) passes cap 3 in its first H-update, after its closed
-    # point transversal proved transitivity: only the fallback checks
+    # point transversal proved transitivity: no orbit walk at all
     calls.clear()
     v = _capped_driver(build(parse_spec("subsets(6,2)")), 3, "partial_base")
     assert v.kind == "partial_base" and v.diagnostics.candidates_tested == 1
-    assert len(calls) == 1
+    assert calls == []
 
 
 def with_fixed_points(gens: GeneratorSet, k: int) -> GeneratorSet:

@@ -4,12 +4,10 @@ A :class:`Word` is a flat sequence of letters, each a :class:`Permutation`,
 evaluated left to right under the project-wide right-action convention.
 An inverted letter is the inverse its permutation caches, so inverting a
 word twice gives back the very same letter objects and each element's
-inverse image tuple is built at most once. It is built only when needed:
-the deep cube maps its first few points through an element's inverse by
-searching the element's image tuple, and the witness map puts in the
-inverse only when a word through such a link is built. A word's letters,
-read as a list X, also name the cube C(X): the set of subset products
-x1^e1 ... xj^ej (e in {0,1}).
+inverse image tuple is built at most once; :func:`deep_cube_orbit` has
+one built only for a word that holds it or a step past a few points. A
+word's letters, read as a list X, also name the cube C(X): the set of
+subset products x1^e1 ... xj^ej (e in {0,1}).
 """
 
 from __future__ import annotations
@@ -158,12 +156,11 @@ def deep_cube_orbit(xstar: Word, beta: int) -> tuple[list[int], WitnessMap]:
     Expands like :func:`cube_set_image` over the concatenation X*^-1, X*,
     since C(X)^-1 = C(X^-1) for X^-1 the reversed list of inverses; every
     output point gets a word of length <= 2|X*| mapping ``beta`` to it.
-    A step of the X*^-1 half uses the inverse an element caches if it has
-    one; otherwise, while the map holds at most ``_SEARCHED_POINTS``
-    points, it searches the element's images and records inverted links,
-    and only past that does it build the inverse. Points, order and words
-    are those of the expansion over ``xstar.inverse_word()``, with the
-    very same inverse objects as letters.
+    A step of the X*^-1 half uses the inverse an element caches, if any;
+    else, while the map holds at most ``_SEARCHED_POINTS`` points, it
+    records inverted links by searching the element's images, and only
+    past that builds the inverse. Points, order and words (down to the
+    inverse objects) are those of an expansion over ``xstar.inverse_word()``.
     """
     wit = WitnessMap(xstar.degree, [beta])
     n = xstar.degree

@@ -287,5 +287,6 @@ def test_deep_cube_orbit_inverts_on_word_access():
     assert x._inv is None and y._inv is None
     assert pts[:4] == [0, 6, 7, 5]  # y^-1, then x^-1
     w = rmap.word(5)
-    assert same_letters(w, [y.inverse(), x.inverse()]) and x._inv is not None
+    assert x._inv is not None and y._inv is not None  # built by the word
+    assert same_letters(w, [y.inverse(), x.inverse()])
     assert same_letters(rmap.word(5), w.letters)

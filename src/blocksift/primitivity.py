@@ -169,7 +169,7 @@ def ss_primitivity(gens: GeneratorSet, cap: int) -> Verdict:
         if outcome.kind != "appended" or state.level_count > 1:
             return False
         first = state.levels[0]
-        tracked = len(first.delta)
+        tracked = len(first.points)
         if min_translates > tracked:
             return False
         x = outcome.terminal

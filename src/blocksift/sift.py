@@ -3,11 +3,12 @@
 The state keeps base points beta_1..beta_l with, per level i, a list X_i of
 permutations whose shallow cube C(X_i) maps beta_i to 2^|X_i| distinct
 points (the tracked set Delta_i, every point carrying a witness word over
-X_i). The letters of every word are the elements of X_i themselves, or
-the inverses they cache, so each element is held once. Sifting an element
-either strips it to the identity through the shallow cubes, appends it to
-the first level whose tracked set it translates off itself, or opens a
-new base level.
+X_i). A :class:`Level` is that data and nothing else: the witness map of
+C(X_i) rooted at beta_i, which also keeps X_i. The letters of every word
+are the elements of X_i themselves, or the inverses they cache, so each
+element is held once. Sifting an element either strips it to the
+identity through the shallow cubes, appends it to the first level whose
+tracked set it translates off itself, or opens a new base level.
 """
 
 from __future__ import annotations
@@ -19,25 +20,23 @@ from .perm import Permutation
 from .words import WitnessMap, Word, deep_cube_orbit
 
 
-@dataclass
-class Level:
-    """One level of the structure: beta_i, X_i, and witnessed Delta_i."""
+class Level(WitnessMap):
+    """One level of the structure: the witness map of the shallow cube
+    C(X_i) rooted at beta_i.
 
-    beta: int
-    elems: list[Permutation]  # X_i, in append order
-    witness: WitnessMap  # Delta_i point -> word over X_i reaching it from beta_i
+    ``points`` is Delta_i in discovery order and ``word(p)`` the word over
+    X_i mapping beta_i to p; ``elems`` is X_i in append order, each
+    element expanding the map once as it is appended.
+    """
 
-    @classmethod
-    def seeded(cls, beta: int, x: Permutation) -> "Level":
+    __slots__ = ("beta", "elems")
+
+    def __init__(self, beta: int, x: Permutation):
         """A level with X_i = [x], which must move beta."""
-        witness = WitnessMap(x.degree, [beta])
-        witness.expand(x)
-        return cls(beta, [x], witness)
-
-    @property
-    def delta(self) -> list[int]:
-        """Delta_i in discovery order."""
-        return self.witness.points
+        super().__init__(x.degree, beta)
+        self.beta = beta
+        self.elems = [x]
+        self.expand(x)
 
 
 @dataclass
@@ -97,7 +96,7 @@ class SiftState:
             raise ValueError("seed degree mismatch")
         if seed.images[beta1] == beta1:
             raise ValueError("seed must move the first base point")
-        return cls(n, cap, [Level.seeded(beta1, seed)])
+        return cls(n, cap, [Level(beta1, seed)])
 
     @property
     def level_count(self) -> int:
@@ -145,23 +144,23 @@ class SiftState:
                 break
             lv = self.levels[idx]
             img = g.images
-            held = lv.witness.parent
-            inter = [q for q in map(img.__getitem__, lv.delta) if held[q] >= 0]
+            held = lv.parent
+            inter = [q for q in map(img.__getitem__, lv.points) if held[q] >= 0]
             if not inter:
                 # g translates Delta_i off itself, so appending it doubles Delta_i
-                lv.witness.expand(g)
+                lv.expand(g)
                 lv.elems.append(g)
                 return SiftOutcome("appended", idx + 1, chain, g)
             lam = min(inter)
-            s = lv.witness.word(img.index(lam))
-            t = lv.witness.word(lam)
+            s = lv.word(img.index(lam))
+            t = lv.word(lam)
             chain.append((s, t))
             # s g t^-1 as one word: an empty s or t costs no identity product
             g = Word(self.n, s.letters + (g,) + t.inverse_word().letters).eval()
         if g.is_identity():
             return SiftOutcome("sifted_to_identity", None, chain, g)
         beta = min(g.support())
-        self.levels.append(Level.seeded(beta, g))
+        self.levels.append(Level(beta, g))
         return SiftOutcome("new_base_point", self.level_count, chain, g)
 
     def certificate(self) -> Certificate:
@@ -184,9 +183,9 @@ class SiftState:
                 raise AssertionError("every level has a nonempty X_i")
             if len(lv.elems) > log2n:
                 raise AssertionError("|X_i| must be at most log2 n")
-            if len(lv.delta) != 2 ** len(lv.elems):
+            if len(lv.points) != 2 ** len(lv.elems):
                 raise AssertionError("|Delta_i| must be 2^|X_i|")
-            if lv.beta not in lv.delta:
+            if lv.beta not in lv.points:
                 raise AssertionError("beta_i must lie in Delta_i")
             for x in lv.elems:
                 if x.images[lv.beta] == lv.beta:
@@ -194,8 +193,8 @@ class SiftState:
                 for prev in self.levels[:k]:
                     if x.images[prev.beta] != prev.beta:
                         raise AssertionError("X_i must fix the earlier base points")
-            for p in lv.delta:
-                w = lv.witness.word(p)
+            for p in lv.points:
+                w = lv.word(p)
                 if len(w) > len(lv.elems):
                     raise AssertionError("a witness word is at most |X_i| long")
                 if w.apply(lv.beta) != p:
@@ -210,7 +209,7 @@ class SiftState:
                 {
                     "beta": lv.beta,
                     "x": [list(x.images) for x in lv.elems],
-                    "delta": sorted(lv.delta),
+                    "delta": sorted(lv.points),
                 }
                 for lv in self.levels
             ],

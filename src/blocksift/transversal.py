@@ -91,7 +91,7 @@ def build_scoped_transversal(state: SiftState, r: Permutation) -> WitnessMap | N
     if r.degree != state.n or r.images[alpha] == alpha:
         raise ValueError("r must act on the state's points and move alpha")
     kgens = [r] + state.deep_element_perms()
-    state.levels[0] = Level.seeded(alpha, r)
+    state.levels[0] = Level(alpha, r)
     try:
         return _close_transversal(state, kgens)
     finally:

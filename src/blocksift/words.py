@@ -7,7 +7,10 @@ word twice gives back the very same letter objects and each element's
 inverse image tuple is built at most once; :func:`deep_cube_orbit` has
 one built only for a word that holds it or a step past a few points. A
 word's letters, read as a list X, also name the cube C(X): the set of
-subset products x1^e1 ... xj^ej (e in {0,1}).
+subset products x1^e1 ... xj^ej (e in {0,1}). A :class:`WitnessMap`
+holds the images of one root under such a cube, each with its witness
+word: a sift level is the map of its shallow cube, grown one letter at a
+time, and :func:`deep_cube_orbit` builds the map of a deep cube.
 """
 
 from __future__ import annotations
@@ -57,10 +60,11 @@ _SEARCHED_POINTS = 4
 
 
 class WitnessMap:
-    """Witness words of the points a cube expansion reaches, as parent links.
+    """Witness words of the points a cube expansion reaches from one root,
+    as parent links.
 
     Two degree-sized arrays hold, per discovered point, the point it was
-    reached from and the permutation that reached it; a root is its own
+    reached from and the permutation that reached it; the root is its own
     parent with no letter, and an undiscovered point has parent -1.
     ``points`` lists the discovered points in discovery order. Words are
     built on access by walking the links, so recording a point costs two
@@ -72,17 +76,14 @@ class WitnessMap:
 
     __slots__ = ("points", "parent", "letter", "inverted")
 
-    def __init__(self, degree: int, roots: Iterable[int]):
-        self.points: list[int] = []
+    def __init__(self, degree: int, root: int):
+        if not 0 <= root < degree:
+            raise ValueError(f"point {root} out of range for degree {degree}")
+        self.points = [root]
         self.parent = [-1] * degree
+        self.parent[root] = root
         self.letter: list[Permutation | None] = [None] * degree
         self.inverted: set[int] = set()
-        for p in roots:
-            if not 0 <= p < degree:
-                raise ValueError(f"point {p} out of range for degree {degree}")
-            if self.parent[p] < 0:
-                self.parent[p] = p
-                self.points.append(p)
 
     def expand(self, x: Permutation) -> None:
         """One cube step: add the images under ``x`` of the points held.
@@ -115,7 +116,7 @@ class WitnessMap:
         return isinstance(p, int) and 0 <= p < len(self.parent) and self.parent[p] >= 0
 
     def word(self, p: int) -> Word:
-        """The witness word mapping p's source to p."""
+        """The witness word mapping the root to p."""
         if p not in self:
             raise KeyError(p)
         parent, letter, inverted = self.parent, self.letter, self.inverted
@@ -129,40 +130,24 @@ class WitnessMap:
         return Word(len(parent), rev)
 
 
-def cube_set_image(x: Word, delta: Iterable[int]) -> tuple[list[int], WitnessMap]:
-    """Image set of ``delta`` under the cube C(X), with witness words.
-
-    Expands Delta_t = Delta_{t-1} union Delta_{t-1}^{x_t} in list order.
-    Each output point gets a source point of ``delta`` and a word over a
-    subsequence of X (in index order, length <= |X|) mapping source to it;
-    ties resolve to the first discovery. Points of ``delta`` get the empty
-    word. The expansion stops once it holds all n points, since later
-    letters could discover nothing.
-    """
-    wit = WitnessMap(x.degree, delta)
-    if not wit.points:
-        raise ValueError("delta must be nonempty")
-    n = x.degree
-    for g in x.letters:
-        if len(wit.points) == n:
-            break
-        wit.expand(g)
-    return wit.points, wit
-
-
 def deep_cube_orbit(xstar: Word, beta: int) -> tuple[list[int], WitnessMap]:
     """Image set of ``beta`` under the deep cube C(X*)^-1 C(X*).
 
-    Expands like :func:`cube_set_image` over the concatenation X*^-1, X*,
-    since C(X)^-1 = C(X^-1) for X^-1 the reversed list of inverses; every
-    output point gets a word of length <= 2|X*| mapping ``beta`` to it.
+    C(X)^-1 = C(X^-1) for X^-1 the reversed list of inverses, so this is
+    the shallow cube over the concatenation X*^-1, X*. For that list
+    x_1..x_m it expands Delta_t = Delta_{t-1} union Delta_{t-1}^{x_t} from
+    Delta_0 = {beta}, in list order; a point keeps the link of its first
+    discovery, and the expansion stops once it holds all n points, since
+    later letters could discover nothing. Every output point gets a word
+    over a subsequence of the list, so of length <= 2|X*|, mapping
+    ``beta`` to it.
     A step of the X*^-1 half uses the inverse an element caches, if any;
     else, while the map holds at most ``_SEARCHED_POINTS`` points, it
     records inverted links by searching the element's images, and only
     past that builds the inverse. Points, order and words (down to the
     inverse objects) are those of an expansion over ``xstar.inverse_word()``.
     """
-    wit = WitnessMap(xstar.degree, [beta])
+    wit = WitnessMap(xstar.degree, beta)
     n = xstar.degree
     for x in reversed(xstar.letters):
         if len(wit.points) == n:

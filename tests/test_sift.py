@@ -29,11 +29,11 @@ class TestInitState:
     def test_four_cycle(self):
         state = SiftState.init_state(4, 4, perm(4, (0, 1, 2, 3)), 0)
         assert state.base == [0]
-        assert set(state.levels[0].delta) == {0, 1}
+        assert set(state.levels[0].points) == {0, 1}
 
     def test_smallest_case_hits_bound(self):
         state = SiftState.init_state(2, 1, perm(2, (0, 1)), 0)
-        assert set(state.levels[0].delta) == {0, 1}
+        assert set(state.levels[0].points) == {0, 1}
         assert len(state.levels[0].elems) == 1  # == ceil(log2 2)
 
     def test_fixed_seed_rejected(self):
@@ -53,7 +53,7 @@ class TestDeepSift:
         state = SiftState.init_state(4, 4, perm(4, (0, 1, 2, 3)), 0)
         out = state.deep_sift(perm(4, (0, 2), (1, 3)))
         assert out.kind == "appended" and out.level == 1
-        assert set(state.levels[0].delta) == {0, 1, 2, 3}
+        assert set(state.levels[0].points) == {0, 1, 2, 3}
 
     def test_new_base_point_trace(self):
         # pinned trace: lambda = 0, s = the 4-cycle, t = empty,
@@ -62,7 +62,7 @@ class TestDeepSift:
         assert out.kind == "new_base_point" and out.level == 2
         assert state.base == [0, 1]
         assert state.levels[1].elems == [perm(4, (1, 3))]
-        assert set(state.levels[1].delta) == {1, 3}
+        assert set(state.levels[1].points) == {1, 3}
         # stripped element is in the stabilizer of 0 (brute-force membership)
         g4 = GeneratorSet(4, [perm(4, (0, 1, 2, 3)), perm(4, (0, 1), (2, 3))])
         stab0 = {g for g in brute_force_elements(g4) if g.images[0] == 0}

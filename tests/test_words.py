@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from blocksift.corpus import build, parse_spec
 from blocksift.perm import Permutation
-from blocksift.words import Word, cube_set_image, deep_cube_orbit
+from blocksift.words import WitnessMap, Word, deep_cube_orbit
 from conftest import enumerate_cube, perm, relabel
 
 
@@ -54,40 +54,47 @@ class TestWordEval:
         assert all(w.apply(p) == g.apply(p) for p in range(4))
 
 
+def shallow_cube(word, root):
+    """The witness map of the shallow cube C(X) at ``root``, X the word's
+    letters, expanded one letter at a time as a sift level grows."""
+    wit = WitnessMap(word.degree, root)
+    for g in word.letters:
+        wit.expand(g)
+    return wit
+
+
 class TestCubeSetImage:
     def test_empty_cube(self):
-        pts, wit = cube_set_image(Word(5), [3])
-        assert pts == [3]
+        wit = shallow_cube(Word(5), 3)
+        assert wit.points == [3]
         assert len(wit.word(3)) == 0 and wit.word(3).apply(3) == 3
 
     def test_single_factor(self, four):
         x, _ = four
-        pts, wit = cube_set_image(Word(4, [x]), [0])
-        assert set(pts) == {0, 1}
+        wit = shallow_cube(Word(4, [x]), 0)
+        assert set(wit.points) == {0, 1}
         assert same_letters(wit.word(1), [x]) and wit.word(1).apply(0) == 1
 
     def test_two_factors_cover(self, four):
         x, y = four
-        pts, _ = cube_set_image(Word(4, [x, y]), [0])
-        assert set(pts) == {0, 1, 2, 3}
+        assert set(shallow_cube(Word(4, [x, y]), 0).points) == {0, 1, 2, 3}
 
-    def test_empty_delta_rejected(self):
-        with pytest.raises(ValueError):
-            cube_set_image(Word(4), [])
+    def test_root_out_of_range_rejected(self):
+        for root in (-1, 4):
+            with pytest.raises(ValueError):
+                WitnessMap(4, root)
 
     def test_witness_contract(self, four):
         # every output point: word over an index-ordered subsequence of X,
-        # length <= |X|, mapping its source point to it
+        # length <= |X|, mapping the root to it
         x, y = four
         spec = [(x, False), (y, False), (x, False)]
-        pts, wit = cube_set_image(word_of(4, spec), [0, 2])
-        _, ref = reference_cube_set_image(spec, [0, 2])
-        for p in pts:
-            src, letters = ref[p]
+        wit = shallow_cube(word_of(4, spec), 2)
+        _, ref = reference_cube_set_image(spec, 2)
+        for p in wit.points:
             w = wit.word(p)
-            assert src in (0, 2)
             assert len(w) <= len(spec)
-            assert same_letters(w, letters) and w.apply(src) == p
+            assert same_letters(w, ref[p]) and w.apply(2) == p
 
 
 def _letter(g, inverted):
@@ -109,34 +116,29 @@ def _letter_images(g, inverted):
     return tuple(inv)
 
 
-def reference_cube_set_image(spec, delta):
-    """Dict-based expansion: point -> (source, letters), first discovery
-    wins, and every letter is applied (no stop at saturation)."""
-    entries = {}
-    for p in delta:
-        entries.setdefault(p, (p, ()))
-    order = list(entries)
+def reference_cube_set_image(spec, root):
+    """Dict-based expansion: point -> letters of its word from ``root``,
+    first discovery wins, and every letter is applied."""
+    entries = {root: ()}
+    order = [root]
     for g, inverted in spec:
         images = _letter_images(g, inverted)
         for p in list(order):
             q = images[p]
             if q not in entries:
-                src, letters = entries[p]
-                entries[q] = (src, letters + (_letter(g, inverted),))
+                entries[q] = entries[p] + (_letter(g, inverted),)
                 order.append(q)
     return order, entries
 
 
-def assert_matches_reference(n, spec, delta):
-    pts, wit = cube_set_image(word_of(n, spec), delta)
-    ref_order, ref = reference_cube_set_image(spec, delta)
-    assert pts == ref_order
-    assert wit.points == ref_order and len(wit.points) == len(ref)
-    for p in pts:
-        src, letters = ref[p]
-        assert same_letters(wit.word(p), letters)
-        assert wit.word(p).apply(src) == p
-    return pts
+def assert_matches_reference(n, spec, root):
+    wit = shallow_cube(word_of(n, spec), root)
+    ref_order, ref = reference_cube_set_image(spec, root)
+    assert wit.points == ref_order
+    for p in wit.points:
+        assert same_letters(wit.word(p), ref[p])
+        assert wit.word(p).apply(root) == p
+    return wit.points
 
 
 SMALL_SPECS = [
@@ -155,23 +157,23 @@ def test_cube_set_image_matches_dict_reference(data):
     elems = gens.generators
     letter = st.tuples(st.sampled_from(elems), st.booleans())
     spec = data.draw(st.lists(letter, max_size=8))
-    delta = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4))
-    assert_matches_reference(n, spec, delta)
+    root = data.draw(st.integers(0, n - 1))
+    assert_matches_reference(n, spec, root)
     # n rounds of every generator saturate a transitive group's cube; the
     # letters after saturation must change nothing
     rounds = [(g, inv) for _ in range(n) for g in elems for inv in (False, True)]
-    assert len(assert_matches_reference(n, rounds, delta)) == n
+    assert len(assert_matches_reference(n, rounds, root)) == n
 
 
 def test_saturated_expansion_matches_reference(four):
     # all 4 points are held after two letters; the other three add nothing
     x, y = four
     spec = [(x, False), (y, False), (x, True), (y, False), (x, False)]
-    assert sorted(assert_matches_reference(4, spec, [0])) == [0, 1, 2, 3]
+    assert sorted(assert_matches_reference(4, spec, 0)) == [0, 1, 2, 3]
 
 
 def test_witness_map_rejects_unheld_points():
-    _, wit = cube_set_image(Word(4, [perm(4, (0, 1))]), [0])
+    wit = shallow_cube(Word(4, [perm(4, (0, 1))]), 0)
     assert 2 not in wit and -1 not in wit and 4 not in wit
     for p in (2, -1, 4):
         with pytest.raises(KeyError):
@@ -270,11 +272,10 @@ def test_deep_cube_orbit_matches_eager_reference(data):
         images = _letter_images(x, True)
         held += [q for q in dict.fromkeys(images[p] for p in held) if q not in held]
     spec = [(x, True) for x in reversed(xs)] + [(x, False) for x in xs]
-    ref_order, ref = reference_cube_set_image(spec, [beta])
+    ref_order, ref = reference_cube_set_image(spec, beta)
     assert pts == rmap.points == ref_order
     for p in pts:
-        _, letters = ref[p]
-        assert same_letters(rmap.word(p), letters)
+        assert same_letters(rmap.word(p), ref[p])
         assert rmap.word(p).apply(beta) == p
 
 

@@ -195,6 +195,10 @@ def blockness_test(gens: GeneratorSet, delta: Iterable[int], alpha: int) -> Bloc
     delta = sorted(set(delta))
     if alpha not in delta:
         raise ValueError("alpha must lie in the candidate set")
+    for p in (delta[0], delta[-1]):
+        # a negative index would silently name a point counted from the end
+        if not 0 <= p < n:
+            raise ValueError(f"candidate point {p} out of range for degree {n}")
     if not 1 < len(delta) < n:
         raise ValueError("candidate must be nontrivial (1 < |delta| < n)")
     size = len(delta)

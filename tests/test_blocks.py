@@ -108,6 +108,14 @@ class TestBlocknessTest:
         with pytest.raises(ValueError):
             blockness_test(C4, {0}, 0)  # trivial candidate
 
+    def test_out_of_range_candidate_rejected(self):
+        # -4 must not be read as point 4 (a block {0, 4} of C8), nor 9
+        # fail as an IndexError
+        c8 = GeneratorSet(8, [perm(8, tuple(range(8)))])
+        for cand in ([-4, 0], [0, 9]):
+            with pytest.raises(ValueError, match="out of range"):
+                blockness_test(c8, cand, 0)
+
     def test_translates_missing_points_name_transitivity(self):
         # {0, 2} is a block of the 4-cycle on 0..3, but its translates miss
         # 4..7: the error is about the group, not about a partial partition

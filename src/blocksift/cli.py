@@ -30,6 +30,7 @@ from .primitivity import (
     primitivity_subquadratic,
     ss_uncapped,
 )
+from .sift import check_cap
 
 
 def _read_gens(args) -> GeneratorSet:
@@ -110,8 +111,7 @@ def _cmd_sift_trace(args) -> int:
 
     gens = _read_gens(args)
     cap = args.cap if args.cap is not None else gens.degree
-    if cap < 1:
-        raise ValueError("cap must be at least 1")
+    check_cap(cap)
     if not is_transitive(gens):
         raise ValueError("sift-trace requires a transitive group")
     if gens.degree == 1:

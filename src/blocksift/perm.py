@@ -141,6 +141,9 @@ class GeneratorSet:
     generators: list[Permutation]
 
     def __post_init__(self):
+        # a bool is an int, so True would pass as degree 1
+        if isinstance(self.degree, bool) or not isinstance(self.degree, int):
+            raise ValueError(f"degree must be an int, not {type(self.degree).__name__}")
         if self.degree < 1:
             raise ValueError("degree must be at least 1")
         if not self.generators:

@@ -27,7 +27,7 @@ from .blocks import BlockSystem, InternalError, blockness_test
 # the name stays ``minimal_block``, where the benchmark's tracer wraps it
 from .blocks import _minimal_block_unchecked as minimal_block
 from .perm import GeneratorSet, Orbits, is_transitive, orbit
-from .sift import Certificate, SiftOutcome, SiftState
+from .sift import Certificate, SiftOutcome, SiftState, check_cap
 from .transversal import build_point_transversal, build_scoped_transversal
 from .words import Word
 
@@ -134,8 +134,7 @@ def ss_primitivity(gens: GeneratorSet, cap: int) -> Verdict:
       make at least p |S| > |Delta_1| checks, past the budget.
     """
     n = gens.degree
-    if cap < 1:
-        raise ValueError("cap must be at least 1")
+    check_cap(cap)
     dmax = _largest_proper_divisor(n)
     alpha = 0
     if dmax == 1:

@@ -39,6 +39,14 @@ class Level(WitnessMap):
         self.expand(x)
 
 
+def check_cap(cap: int) -> None:
+    """The one rule for a base-size cap: an int, not a bool, of at least 1."""
+    if isinstance(cap, bool) or not isinstance(cap, int):
+        raise ValueError(f"cap must be an int, not {type(cap).__name__}")
+    if cap < 1:
+        raise ValueError("cap must be at least 1")
+
+
 @dataclass
 class Certificate:
     """Nonredundancy witnesses: g_i fixes beta_j (j < i) and moves beta_i."""
@@ -90,8 +98,7 @@ class SiftState:
 
     @classmethod
     def init_state(cls, n: int, cap: int, seed: Permutation, beta1: int) -> "SiftState":
-        if cap < 1:
-            raise ValueError("cap must be at least 1")
+        check_cap(cap)
         if seed.degree != n:
             raise ValueError("seed degree mismatch")
         if seed.images[beta1] == beta1:

@@ -29,6 +29,7 @@ from blocksift.primitivity import (
     ss_uncapped,
 )
 from blocksift.sift import Certificate, SiftState
+from blocksift.transversal import build_point_transversal
 from conftest import perm, relabel
 
 DRIVERS = (primitivity_main, primitivity_subquadratic, ss_uncapped)
@@ -266,6 +267,22 @@ def test_cap_without_blocks_answers_partial_base(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, monkeypatch, ["primitive", "--cap", "1"], s3)
     doc = json.loads(out)
     assert code == 0 and doc["verdict"] == "primitive" and doc["certificate"] is None
+
+
+@pytest.mark.parametrize("cap", [2.5, 3.0, True, 0])
+def test_cap_is_an_int_of_at_least_one(cap):
+    # cap 2.5 once ran subsets(30,2) to a partial base and then raised
+    # InternalError, a library fault for a caller's mistake; True would
+    # pass as cap 1. Every entry point rejects it before any work
+    gens = build(parse_spec("subsets(30,2)"))
+    for decide in (
+        lambda: ss_primitivity(gens, cap),
+        lambda: ss_primitivity(PRIME_INTRANSITIVE, cap),
+        lambda: _capped_driver(gens, cap, "partial_base"),
+        lambda: build_point_transversal(gens, 0, cap),
+    ):
+        with pytest.raises(ValueError, match="cap must be"):
+            decide()
 
 
 # subsets(5,2) is primitive after one H-update

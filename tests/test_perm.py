@@ -250,6 +250,11 @@ class TestValidation:
         with pytest.raises(ValueError):
             GeneratorSet(3, [])
 
+    def test_bool_degree(self):
+        # True == 1, so it would pass as degree 1 and be decided
+        with pytest.raises(ValueError, match="degree must be an int"):
+            GeneratorSet(True, [Permutation([0])])
+
 
 @given(shared_degree_perms(2), st.integers(0, 5))
 def test_compose_is_pointwise(pair, p):

@@ -303,3 +303,41 @@ def test_strip_steps_are_single_word_evaluations(full_corpus, monkeypatch):
             driver(gens)
             assert products == [] and empty == [], name
     assert sum(steps) > 900  # strip steps run
+
+
+def test_no_driver_sift_strips_to_the_identity(full_corpus, monkeypatch):
+    """Every sift a driver makes appends an element or opens a level.
+
+    - A transversal sift's element r_lam s maps beta_1 to lam^s, outside
+      the deep orbit beta_1^{C(X*)^-1 C(X*)}; an element that strips to
+      the identity is s_1^-1 ... s_k^-1 t_k ... t_1 with s_i, t_i in
+      C(X_i), so it lies in C(X*)^-1 C(X*) and keeps beta_1 in that orbit.
+    - An H-update element s g1 t^-1 lies outside K = <H, r>: s and t lie
+      in K, and the witness g1 moves the K-orbit alpha^K off itself. It
+      fixes alpha, so it strips through the levels below the first only,
+      and C(X_2*)^-1 C(X_2*) lies in K, since every element of those
+      levels comes from sifting elements of K.
+    ``transversal._close_transversal`` relies on this when it takes the
+    deep orbit to only grow from one sift to the next.
+    """
+    kinds = []
+    deep_sift = SiftState.deep_sift
+
+    def recording_sift(self, g):
+        outcome = deep_sift(self, g)
+        kinds.append(outcome.kind)
+        return outcome
+
+    monkeypatch.setattr(SiftState, "deep_sift", recording_sift)
+    drivers = [primitivity_main, ss_uncapped, primitivity_subquadratic] + [
+        lambda gens, cap=cap: primitivity._capped_driver(gens, cap, "partial_base")
+        for cap in (1, 2, 3)
+    ]
+    rng = random.Random(19)
+    for entry in full_corpus:
+        for gens in (entry.gens, relabel(entry.gens, rng, extra=1),
+                     relabel(entry.gens, rng, extra=2)):
+            for driver in drivers:
+                driver(gens)
+    assert "sifted_to_identity" not in kinds
+    assert kinds.count("appended") > 1000 and kinds.count("new_base_point") > 500

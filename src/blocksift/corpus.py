@@ -183,11 +183,6 @@ def wreath_imprimitive(inner: GeneratorSet, d: int) -> GeneratorSet:
     return GeneratorSet(n, gens)
 
 
-def wreath_canonical_blocks(inner_degree: int, d: int) -> list[list[int]]:
-    m = inner_degree
-    return [list(range(j * m, (j + 1) * m)) for j in range(d)]
-
-
 def product_action(m: int, d: int) -> GeneratorSet:
     """Sym(m) wr Sym(d) on m^d mixed-radix tuples, digit 0 least significant."""
     if m < 2 or d < 2:

@@ -9,7 +9,6 @@ from blocksift.corpus import (
     on_k_subsets,
     parse_spec,
     spec_order,
-    wreath_canonical_blocks,
 )
 from blocksift.perm import is_transitive, orbit
 from blocksift.primitivity import ss_uncapped
@@ -76,7 +75,7 @@ class TestBuilders:
 
     def test_wreath_canonical_blocks_are_blocks(self):
         gens = build(parse_spec("wreath(alternating(8),2)"))
-        cells = wreath_canonical_blocks(8, 2)
+        cells = [list(range(8)), list(range(8, 16))]  # one per inner copy
         bs = BlockSystem.from_blocks(16, cells)
         assert validate_block_system(gens, bs)
 

@@ -1,8 +1,10 @@
 """Source hygiene of the package, checked with the stdlib ``ast`` module:
-no unused import, no unreferenced module-level private name, an
-``__all__`` whose every name resolves, no ``assert`` statement, and the
-unchecked ``BlockSystem`` constructor used in ``blocks`` only; and the
-names the benchmark's tracer patches still exist and get traced."""
+no unused import, no unreferenced module-level private name, no public
+function or class that neither program code uses nor ``__all__``
+exports, an ``__all__`` whose every name resolves, no ``assert``
+statement, and the unchecked ``BlockSystem`` constructor used in
+``blocks`` only; and the names the benchmark's tracer patches still
+exist and get traced."""
 
 import ast
 import importlib.util
@@ -96,6 +98,27 @@ def test_module_level_private_names_are_referenced():
                 if d.startswith("_") and not d.startswith("__") and d not in referenced
             ]
     assert not unreferenced, f"never referenced: {unreferenced}"
+
+
+def test_module_level_public_names_are_used():
+    # a public function or class that no program code reads and __all__
+    # does not export is dead code kept alive only by its tests
+    root = PACKAGE.parent.parent
+    referenced = set(blocksift.__all__)
+    for path in [*MODULES, *(root / "tools").glob("*.py"), *(root / "perfbench").glob("*.py")]:
+        tree = parse(path)
+        referenced |= used_names(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                referenced |= {a.name for a in node.names}
+    unused = [
+        f"{path.name}: {node.name}"
+        for path in MODULES
+        for node in parse(path).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_") and node.name not in referenced
+    ]
+    assert not unused, f"public names no program code uses: {unused}"
 
 
 def test_all_names_resolve():

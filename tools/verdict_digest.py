@@ -6,9 +6,10 @@ Run from the repository root::
     python tools/verdict_digest.py --cases   # one JSON line per case instead
     python tools/verdict_digest.py --oracle  # also check against the baseline
 
-Each case is a group and a driver: ``primitivity_main``, ``ss_uncapped``
-and ``_capped_driver`` at caps 1, 2 and 3 (escape ``partial_base``). The
-groups are ``standard_corpus()`` and, for each member, three seeded
+Each case is a group and a driver: ``primitivity_main``, ``ss_uncapped``,
+``primitivity_subquadratic`` (the five-thirds cap law, with its own escape
+kind) and ``_capped_driver`` at caps 1, 2 and 3 (escape ``partial_base``).
+The groups are ``standard_corpus()`` and, for each member, three seeded
 relabellings with 0, 1 and 2 extra random-word generators. A case's record
 holds the verdict kind, the blocks, the certificate and
 ``diagnostics.as_dict()``, so two trees print the same digest exactly when
@@ -41,9 +42,18 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from blocksift.blocks import atkinson_baseline, validate_block_system  # noqa: E402
 from blocksift.corpus import standard_corpus  # noqa: E402
 from blocksift.perm import GeneratorSet, Permutation  # noqa: E402
-from blocksift.primitivity import _capped_driver, primitivity_main, ss_uncapped  # noqa: E402
+from blocksift.primitivity import (  # noqa: E402
+    _capped_driver,
+    primitivity_main,
+    primitivity_subquadratic,
+    ss_uncapped,
+)
 
-DRIVERS = [("main", primitivity_main), ("uncapped", ss_uncapped)] + [
+DRIVERS = [
+    ("main", primitivity_main),
+    ("uncapped", ss_uncapped),
+    ("subquadratic", primitivity_subquadratic),
+] + [
     (f"cap{cap}", lambda gens, cap=cap: _capped_driver(gens, cap, "partial_base"))
     for cap in (1, 2, 3)
 ]

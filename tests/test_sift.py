@@ -317,8 +317,9 @@ def test_no_driver_sift_strips_to_the_identity(full_corpus, monkeypatch):
       fixes alpha, so it strips through the levels below the first only,
       and C(X_2*)^-1 C(X_2*) lies in K, since every element of those
       levels comes from sifting elements of K.
-    ``transversal._close_transversal`` relies on this when it takes the
-    deep orbit to only grow from one sift to the next.
+    ``transversal._close_transversal`` relies on this: it visits each
+    (point, generator) pair once, so a sift that changed nothing would
+    leave lam^s out of the deep orbit for good.
     """
     kinds = []
     deep_sift = SiftState.deep_sift

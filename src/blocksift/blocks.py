@@ -121,30 +121,41 @@ class _UnionFind:
             parent[p], p = root, parent[p]
         return root
 
-    def union(self, p: int, q: int) -> bool:
+    def union(self, p: int, q: int) -> int:
+        # the merged class's size, or 0 if p and q were one class
         rp, rq = self.find(p), self.find(q)
         if rp == rq:
-            return False
+            return 0
         if self.size[rp] < self.size[rq]:
             rp, rq = rq, rp
         self.parent[rq] = rp
         self.size[rp] += self.size[rq]
-        return True
+        return self.size[rp]
 
 
 def _minimal_block_unchecked(gens: GeneratorSet, seed: Iterable[int]) -> set[int]:
+    """``minimal_block`` on a transitive group, unchecked. It answers every
+    point once a merge leaves a class of more than n // 2 points: classes
+    only merge, on a transitive group the final ones are the equal cells
+    of a block system, and no proper block has more than n/2 points. (Not
+    primitivity's n/p: the oracle shares no rule with what it judges.)
+    """
+    n = gens.degree
     seed = list(dict.fromkeys(seed))
-    uf = _UnionFind(gens.degree)
+    uf = _UnionFind(n)
     anchor = seed[0]
     events = [(anchor, p) for p in seed[1:] if uf.union(anchor, p)]
     arrays = [g.images for g in gens.generators]
     for p, q in events:  # grows while it is walked
         for arr in arrays:
             ip, iq = arr[p], arr[q]
-            if uf.union(ip, iq):
+            merged = uf.union(ip, iq)
+            if merged:
+                if merged > n // 2:
+                    return set(range(n))
                 events.append((ip, iq))
     root = uf.find(anchor)
-    return {p for p in range(gens.degree) if uf.find(p) == root}
+    return {p for p in range(n) if uf.find(p) == root}
 
 
 def minimal_block(gens: GeneratorSet, seed: Iterable[int]) -> set[int]:

@@ -199,26 +199,13 @@ def product_action(m: int, d: int) -> GeneratorSet:
         for v in reversed(ds):
             p = p * m + v
         return p
-    gens = []
-    for x in symmetric(m).generators:
-        images = [0] * n
-        for p in range(n):
-            ds = digits(p)
-            ds[0] = x.images[ds[0]]
-            images[p] = encode(ds)
-        gens.append(Permutation(images))
-    rot = [0] * n
-    for p in range(n):
-        ds = digits(p)
-        rot[p] = encode(ds[1:] + ds[:1])
-    gens.append(Permutation(rot))
+    def act(move):
+        """The permutation p -> encode(move(digits(p)))."""
+        return Permutation([encode(move(digits(p))) for p in range(n)])
+    gens = [act(lambda ds, x=x: [x.images[ds[0]]] + ds[1:]) for x in symmetric(m).generators]
+    gens.append(act(lambda ds: ds[1:] + ds[:1]))
     if d > 2:
-        swap = [0] * n
-        for p in range(n):
-            ds = digits(p)
-            ds[0], ds[1] = ds[1], ds[0]
-            swap[p] = encode(ds)
-        gens.append(Permutation(swap))
+        gens.append(act(lambda ds: [ds[1], ds[0]] + ds[2:]))
     return GeneratorSet(n, gens)
 
 

@@ -293,4 +293,33 @@ def _cell_closure(
 
 
 def is_transitive(gens: GeneratorSet) -> bool:
-    return len(orbit(gens.generators, 0)) == gens.degree
+    """Whether 0's orbit is every point. Held points are taken in discovery
+    order, and from each, each generator's cycle is followed until it meets
+    a held point. It answers True once a taken point leaves n points held,
+    and False once all are taken (every image of a held point is then
+    held). Each image read adds a point or ends a walk: at most
+    n |S| + n - 1 reads, and n - 1 + |S| if the first generator moving 0
+    has an n-cycle. One generator is walked round its cycle through 0.
+    """
+    n = gens.degree
+    arrays = [g.images for g in gens.generators]
+    held = [0]
+    if len(arrays) == 1:
+        arr = arrays[0]
+        p = arr[0]
+        while p:
+            held.append(p)
+            p = arr[p]
+        return len(held) == n
+    seen = bytearray(n)
+    seen[0] = 1
+    for p in held:  # grows while it is walked
+        for arr in arrays:
+            q = arr[p]
+            while not seen[q]:
+                seen[q] = 1
+                held.append(q)
+                q = arr[q]
+        if len(held) == n:
+            return True
+    return False

@@ -296,3 +296,48 @@ def test_blockness_matches_a_walk_of_every_block(full_corpus, monkeypatch):
     for test in (real, reference_blockness):
         with pytest.raises(ValueError):
             test(two_cycles, {0, 2}, 0)
+
+
+def closure_to_the_end(gens, seed):
+    """Atkinson's union-find closure with no stop rule: every merged pair
+    {p, q} queues its images under every generator, until the queue runs
+    dry; the seed's final class."""
+    parent = list(range(gens.degree))
+
+    def find(p):
+        while parent[p] != p:
+            parent[p] = parent[parent[p]]
+            p = parent[p]
+        return p
+
+    pairs = [(seed[0], p) for p in seed[1:]]
+    for p, q in pairs:  # grows while it is walked
+        rp, rq = find(p), find(q)
+        if rp != rq:
+            parent[rq] = rp
+            pairs += [(g.images[p], g.images[q]) for g in gens.generators]
+    root = find(seed[0])
+    return {p for p in range(gens.degree) if find(p) == root}
+
+
+def test_minimal_block_stop_matches_the_full_closure(full_corpus):
+    # the closure stops with every point once a class passes n // 2; on
+    # each seed {0, lam} of the corpus, natural and relabelled, it must
+    # answer as the closure run to the end, blocks of n/2 points included
+    halves = set()
+    for entry in full_corpus:
+        for extra in (-1, 1):
+            gens = entry.gens if extra < 0 else relabel(
+                entry.gens, random.Random(f"{entry.name}/half/{extra}"), extra
+            )
+            n = gens.degree
+            for lam in range(1, n):
+                want = closure_to_the_end(gens, [0, lam])
+                assert blocks._minimal_block_unchecked(gens, [0, lam]) == want, entry.name
+                assert minimal_block(gens, [0, lam]) == want, entry.name
+                if 2 * len(want) == n:
+                    halves.add(entry.name)
+    # a stop at n // 2 points would answer every point for these
+    for name in ("cyclic(4)", "cyclic(256)", "cyclic(512)", "dihedral(8)", "dihedral(256)",
+                 "wreath(alternating(64),2)"):
+        assert name in halves

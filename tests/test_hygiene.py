@@ -2,9 +2,9 @@
 no unused import, no unreferenced module-level private name, no public
 function or class that neither program code uses nor ``__all__``
 exports, an ``__all__`` whose every name resolves, no ``assert``
-statement, and the unchecked ``BlockSystem`` constructor used in
-``blocks`` only; and the names the benchmark's tracer patches still
-exist and get traced."""
+statement, the unchecked ``BlockSystem`` constructor used in
+``blocks`` only, and an oracle that imports nothing it judges; and the
+names the benchmark's tracer patches still exist and get traced."""
 
 import ast
 import importlib.util
@@ -148,6 +148,21 @@ def test_unchecked_block_system_stays_in_blocks():
         )
     ]
     assert users == ["blocks.py"]
+
+
+def test_oracle_imports_nothing_it_judges():
+    # atkinson_baseline judges every verdict of the primitivity module, so
+    # blocks.py, and every package module it imports in turn, imports
+    # nothing those verdicts are made of
+    imported, todo = set(), ["blocks"]
+    while todo:
+        for node in ast.walk(parse(PACKAGE / f"{todo.pop()}.py")):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                names = [node.module] if node.module else [a.name for a in node.names]
+                todo += [m for m in names if m not in imported]
+                imported |= set(names)
+    assert "perm" in imported
+    assert not imported & {"primitivity", "sift", "transversal"}
 
 
 def test_tracer_patch_points_exist():

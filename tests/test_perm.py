@@ -1,3 +1,4 @@
+import random
 from collections import deque
 
 import pytest
@@ -235,6 +236,95 @@ class TestTransitivity:
 
     def test_degree_one(self):
         assert is_transitive(GeneratorSet(1, [Permutation.identity(1)]))
+
+
+class CountedImages(tuple):
+    """An image tuple that counts, in ``reads[0]``, every image read from it."""
+
+    def __new__(cls, images, reads):
+        out = super().__new__(cls, images)
+        out.reads = reads
+        return out
+
+    def __getitem__(self, p):
+        self.reads[0] += 1
+        return tuple.__getitem__(self, p)
+
+
+def counted(perms):
+    """The perms as one generator set over counting image tuples, and its
+    shared read counter."""
+    reads = [0]
+    gens = [Permutation.unchecked(CountedImages(g.images, reads)) for g in perms]
+    return GeneratorSet(perms[0].degree, gens), reads
+
+
+def random_cycle(points, rng):
+    """One cycle through the given points, in a random order."""
+    order = list(points)
+    rng.shuffle(order)
+    return order
+
+
+def random_involution(n, points, rng):
+    """An involution pairing up a random part of the given points."""
+    pts = list(points)
+    rng.shuffle(pts)
+    pairs = pts[:2 * rng.randint(1, len(pts) // 2)]
+    return Permutation.from_cycles(n, [pairs[i:i + 2] for i in range(0, len(pairs), 2)])
+
+
+class TestTransitivityWalk:
+    """The cycle walk's stop rules: n - 1 + |S| image reads when the first
+    generator that moves 0 has an n-cycle, at most n |S| + n - 1 otherwise,
+    and no True short of the whole orbit."""
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 16, 101])
+    def test_an_n_cycle_ahead_of_every_generator_moving_0(self, n):
+        rng = random.Random(f"n-cycle/{n}")
+        for _ in range(10):
+            cycle = Permutation.from_cycles(n, [random_cycle(range(n), rng)])
+            # involutions that move 0, allowed after the cycle only, and
+            # involutions that fix 0, allowed anywhere
+            moving = [random_involution(n, range(n), rng) for _ in range(3)]
+            fixing = [random_involution(n, range(1, n), rng) for _ in range(3)] if n > 2 else []
+            for perms in (
+                [cycle],
+                [cycle, *moving, *fixing],  # first
+                [*fixing, cycle],  # last
+                [*fixing[:1], cycle, *moving, *fixing[1:]],  # among involutions
+            ):
+                gens, reads = counted(perms)
+                assert is_transitive(gens)
+                assert reads[0] <= n - 1 + len(perms)
+
+    @pytest.mark.parametrize("n", [3, 7, 16, 101])
+    def test_any_generator_set_within_the_general_bound(self, n):
+        rng = random.Random(f"general/{n}")
+        for _ in range(20):
+            # an n-cycle behind an involution that moves 0 may meet the
+            # points that involution added, so only the general bound holds
+            involutions = [random_involution(n, range(n), rng) for _ in range(rng.randint(1, 4))]
+            cycle = Permutation.from_cycles(n, [random_cycle(range(n), rng)])
+            at = rng.randint(1, len(involutions))
+            for perms in (involutions, involutions[:at] + [cycle] + involutions[at:]):
+                gens, reads = counted(perms)
+                assert is_transitive(gens) == (len(reference_orbit(perms, 0)) == n)
+                assert reads[0] <= n * len(perms) + n - 1
+
+    @pytest.mark.parametrize("n", [3, 4, 7, 16, 101])
+    def test_an_orbit_of_n_minus_1_points_is_not_transitive(self, n):
+        rng = random.Random(f"short/{n}")
+        for _ in range(10):
+            # the orbit of 0 is every point but one, named at random
+            missing = rng.randrange(1, n)
+            rest = [p for p in range(n) if p != missing]
+            cycle = Permutation.from_cycles(n, [random_cycle(rest, rng)])
+            extra = [random_involution(n, rest, rng) for _ in range(2)]
+            for perms in ([cycle], [cycle, *extra], [*extra, cycle], extra):
+                gens = GeneratorSet(n, perms)
+                assert len(reference_orbit(perms, 0)) <= n - 1
+                assert not is_transitive(gens)
 
 
 class TestValidation:

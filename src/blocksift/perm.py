@@ -209,45 +209,23 @@ class Orbits:
         return self.members[i:i + self.size[r]]
 
 
-def orbit(
-    perms: Sequence[Permutation],
-    start: int,
-    limit: int | None = None,
-    cells: Orbits | None = None,
-) -> list[int]:
-    """Closure of {start} under permutations, in discovery order.
+def orbit(perm: Permutation, start: int, limit: int, cells: Orbits | None = None) -> list[int]:
+    """Closure of {start} under one permutation, in discovery order.
 
-    Without ``cells`` this is a breadth-first walk of the growing output
-    list: ``start`` comes first, and the order is deterministic given the
-    order of ``perms``. With ``cells``, the orbits of a group K, the result
-    is the closure under K and ``perms`` together, reached one whole cell
-    at a time: a newly reached point brings in its cell, listed least point
-    first, and only ``perms`` act on each point. With ``limit``, the search
-    stops as soon as it holds more than ``limit`` points (with cells, before
-    walking the cell that passed it) and returns what it holds, so a result
-    longer than ``limit`` is not the whole orbit.
+    Without ``cells`` this is the cycle of ``perm`` through ``start``,
+    walked from ``start``. With ``cells``, the orbits of a group K, it is
+    the closure under K and ``perm`` together, reached one whole cell at a
+    time: a newly reached point brings in its cell, listed least point
+    first, and only ``perm`` acts on each point. Held cells are a set of
+    roots, so a closure that stops early allocates nothing of the degree's
+    size. The walk stops as soon as it holds more than ``limit`` points
+    (with cells, before walking the cell that passed it) and returns what
+    it holds, so a result longer than ``limit`` is not the whole orbit.
     """
-    degree = None if cells is None else cells.degree
-    for g in perms:
-        if degree is None:
-            degree = g.degree
-        elif g.degree != degree:
-            raise ValueError("permutations must share one degree")
-    if degree is None:
-        return [start]
-    if not 0 <= start < degree:
-        raise ValueError(f"start point {start} out of range for degree {degree}")
-    if limit is None:
-        limit = degree  # an orbit never exceeds the degree
-    elif limit < 1:
-        raise ValueError("limit must be at least 1")
-    arrays = [g.images for g in perms]
-    if cells is not None:
-        return _cell_closure(arrays, start, limit, cells)
-    if len(arrays) == 1:
-        # one permutation: the closure is its cycle through start, walked
-        # in the same order without a degree-sized seen array
-        arr = arrays[0]
+    arr = perm.images
+    if not 0 <= start < len(arr):
+        raise ValueError(f"start point {start} out of range for degree {len(arr)}")
+    if cells is None:
         out = [start]
         p = arr[start]
         while p != start:
@@ -256,39 +234,21 @@ def orbit(
                 return out
             p = arr[p]
         return out
-    seen = bytearray(degree)
-    seen[start] = 1
-    out = [start]
-    for p in out:  # grows while it is walked
-        for arr in arrays:
-            q = arr[p]
-            if not seen[q]:
-                seen[q] = 1
-                out.append(q)
-                if len(out) > limit:
-                    return out
-    return out
-
-
-def _cell_closure(
-    arrays: list[tuple[int, ...]], start: int, limit: int, cells: Orbits
-) -> list[int]:
-    """``orbit`` with cells: held cells are a set of roots, so a closure
-    that stops early allocates nothing of the degree's size."""
+    if len(arr) != cells.degree:
+        raise ValueError("permutation and cells must share one degree")
     root, size, first, members = cells.root, cells.size, cells.first, cells.members
     out = cells.cell(start)
     if len(out) > limit:
         return out
     held = {root[start]}
     for p in out:  # grows while it is walked
-        for arr in arrays:
-            r = root[arr[p]]
-            if r not in held:
-                held.add(r)
-                i = first[r]
-                out += members[i:i + size[r]]
-                if len(out) > limit:
-                    return out
+        r = root[arr[p]]
+        if r not in held:
+            held.add(r)
+            i = first[r]
+            out += members[i:i + size[r]]
+            if len(out) > limit:
+                return out
     return out
 
 

@@ -173,7 +173,7 @@ def ss_primitivity(gens: GeneratorSet, cap: int) -> Verdict:
             return False
         x = outcome.terminal
         diag.early_tries += 1
-        if test_cycle(orbit([x], alpha, dmax), tracked):
+        if test_cycle(orbit(x, alpha, dmax), tracked):
             return True
         if len(first.elems) < 2:
             return False
@@ -200,7 +200,7 @@ def ss_primitivity(gens: GeneratorSet, cap: int) -> Verdict:
     while not state.capped:
         hgens = state.deep_element_perms()
         # the candidate is a union of H-orbits: close it one whole H-orbit
-        # at a time, unless H is trivial and plain BFS is cheaper
+        # at a time, unless H is trivial and the candidate is r's cycle
         cells = Orbits(n, hgens) if hgens else None
         size = cells.size if cells else [1] * n
         # <H, r_lam> maps every block holding alpha and lam to itself, so a
@@ -218,7 +218,7 @@ def ss_primitivity(gens: GeneratorSet, cap: int) -> Verdict:
             # closure and the scoped transversal
             r = rmap.word(lam).eval()
             diag.candidates_closed += 1
-            delta = orbit([r], alpha, dmax, cells)
+            delta = orbit(r, alpha, dmax, cells)
             if len(delta) > dmax:
                 continue
             diag.candidates_tested += 1

@@ -68,7 +68,7 @@ class Certificate:
 
 @dataclass
 class SiftOutcome:
-    """Result of one sift, with enough data to reconstruct the input.
+    """Result of one sift.
 
     The chain holds the (s, t) coset-word pairs applied in order; the
     terminal element is what remained when stripping stopped. The input
@@ -76,15 +76,8 @@ class SiftOutcome:
     """
 
     kind: Literal["appended", "new_base_point", "sifted_to_identity"]
-    level: int | None
     chain: list[tuple[Word, Word]]
     terminal: Permutation
-
-    def reconstruct(self) -> Permutation:
-        g = self.terminal
-        for s, t in reversed(self.chain):
-            g = Word(g.degree, s.inverse_word().letters + (g,) + t.letters).eval()
-        return g
 
 
 class SiftState:
@@ -113,10 +106,6 @@ class SiftState:
     def capped(self) -> bool:
         """True once the level count has passed the base-size cap."""
         return len(self.levels) > self.cap
-
-    @property
-    def base(self) -> list[int]:
-        return [lv.beta for lv in self.levels]
 
     def sum_xi(self, start_level: int = 1) -> int:
         return sum(len(lv.elems) for lv in self.levels[start_level - 1:])
@@ -157,7 +146,7 @@ class SiftState:
                 # g translates Delta_i off itself, so appending it doubles Delta_i
                 lv.expand(g)
                 lv.elems.append(g)
-                return SiftOutcome("appended", idx + 1, chain, g)
+                return SiftOutcome("appended", chain, g)
             lam = min(inter)
             s = lv.word(img.index(lam))
             t = lv.word(lam)
@@ -165,47 +154,14 @@ class SiftState:
             # s g t^-1 as one word: an empty s or t costs no identity product
             g = Word(self.n, s.letters + (g,) + t.inverse_word().letters).eval()
         if g.is_identity():
-            return SiftOutcome("sifted_to_identity", None, chain, g)
+            return SiftOutcome("sifted_to_identity", chain, g)
         beta = min(g.support())
         self.levels.append(Level(beta, g))
-        return SiftOutcome("new_base_point", self.level_count, chain, g)
+        return SiftOutcome("new_base_point", chain, g)
 
     def certificate(self) -> Certificate:
         """(beta_i, first element of X_i) for every level."""
         return Certificate([(lv.beta, lv.elems[0]) for lv in self.levels])
-
-    def validate(self) -> None:
-        """Check all structural invariants; raises AssertionError on violation.
-
-        The checks are explicit raises, not ``assert`` statements, so they
-        also run under ``python -O``.
-        """
-        if not 1 <= self.level_count <= self.cap + 1:
-            raise AssertionError("level count must lie in 1..cap+1")
-        if len(set(self.base)) != self.level_count:
-            raise AssertionError("base points must be distinct")
-        log2n = max(1, (self.n - 1).bit_length())
-        for k, lv in enumerate(self.levels):
-            if not lv.elems:
-                raise AssertionError("every level has a nonempty X_i")
-            if len(lv.elems) > log2n:
-                raise AssertionError("|X_i| must be at most log2 n")
-            if len(lv.points) != 2 ** len(lv.elems):
-                raise AssertionError("|Delta_i| must be 2^|X_i|")
-            if lv.beta not in lv.points:
-                raise AssertionError("beta_i must lie in Delta_i")
-            for x in lv.elems:
-                if x.images[lv.beta] == lv.beta:
-                    raise AssertionError("every element of X_i moves beta_i")
-                for prev in self.levels[:k]:
-                    if x.images[prev.beta] != prev.beta:
-                        raise AssertionError("X_i must fix the earlier base points")
-            for p in lv.points:
-                w = lv.word(p)
-                if len(w) > len(lv.elems):
-                    raise AssertionError("a witness word is at most |X_i| long")
-                if w.apply(lv.beta) != p:
-                    raise AssertionError("a witness word maps beta_i to its point")
 
     def debug_dump(self) -> dict:
         """JSON-ready snapshot of the per-level structure."""

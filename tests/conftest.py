@@ -4,11 +4,14 @@ of the code paths they check."""
 from __future__ import annotations
 
 import random
+from collections import deque
 from itertools import combinations
 
 import pytest
 
 from blocksift.perm import GeneratorSet, Permutation
+from blocksift.sift import SiftOutcome, SiftState
+from blocksift.words import Word
 
 
 def perm(n, *cycles) -> Permutation:
@@ -59,6 +62,74 @@ def relabel(gens: GeneratorSet, rng: random.Random, extra: int = 0) -> Generator
     base = GeneratorSet(n, out)
     out += [random_element(base, rng) for _ in range(extra)]
     return GeneratorSet(n, out)
+
+
+def reference_orbit(actions, start, limit=None):
+    """Closure of {start} by a deque BFS over ``apply``, for any number of
+    permutations or words: the reference point set, visiting order and
+    ``limit`` cut for orbit walks."""
+    limit = actions[0].degree if limit is None else limit
+    seen, out, queue = {start}, [start], deque([start])
+    while queue:
+        p = queue.popleft()
+        for a in actions:
+            q = a.apply(p)
+            if q not in seen:
+                seen.add(q)
+                out.append(q)
+                if len(out) > limit:
+                    return out
+                queue.append(q)
+    return out
+
+
+def base_points(state: SiftState) -> list[int]:
+    """The base points beta_1..beta_l of a sift state."""
+    return [lv.beta for lv in state.levels]
+
+
+def validate_state(state: SiftState) -> None:
+    """Check all structural invariants of a sift state; raises
+    AssertionError on violation.
+
+    The checks are explicit raises, not ``assert`` statements, so they
+    also run under ``python -O``.
+    """
+    if not 1 <= state.level_count <= state.cap + 1:
+        raise AssertionError("level count must lie in 1..cap+1")
+    if len(set(base_points(state))) != state.level_count:
+        raise AssertionError("base points must be distinct")
+    log2n = max(1, (state.n - 1).bit_length())
+    for k, lv in enumerate(state.levels):
+        if not lv.elems:
+            raise AssertionError("every level has a nonempty X_i")
+        if len(lv.elems) > log2n:
+            raise AssertionError("|X_i| must be at most log2 n")
+        if len(lv.points) != 2 ** len(lv.elems):
+            raise AssertionError("|Delta_i| must be 2^|X_i|")
+        if lv.beta not in lv.points:
+            raise AssertionError("beta_i must lie in Delta_i")
+        for x in lv.elems:
+            if x.images[lv.beta] == lv.beta:
+                raise AssertionError("every element of X_i moves beta_i")
+            for prev in state.levels[:k]:
+                if x.images[prev.beta] != prev.beta:
+                    raise AssertionError("X_i must fix the earlier base points")
+        for p in lv.points:
+            w = lv.word(p)
+            if len(w) > len(lv.elems):
+                raise AssertionError("a witness word is at most |X_i| long")
+            if w.apply(lv.beta) != p:
+                raise AssertionError("a witness word maps beta_i to its point")
+
+
+def reconstruct(outcome: SiftOutcome) -> Permutation:
+    """The sifted input, rebuilt from a sift outcome: the chain's (s, t)
+    pairs undone around the terminal element."""
+    g = outcome.terminal
+    for s, t in reversed(outcome.chain):
+        g = Word(g.degree, s.inverse_word().letters + (g,) + t.letters).eval()
+    return g
 
 
 def enumerate_cube(elements: list[Permutation]) -> set[Permutation]:

@@ -25,9 +25,12 @@ from blocksift.primitivity import (
 from blocksift.sift import SiftState
 from blocksift.transversal import build_point_transversal
 from conftest import (
+    base_points,
     enumerate_deep_cube,
     invariant_partitions,
     random_element,
+    reconstruct,
+    validate_state,
 )
 
 
@@ -115,8 +118,8 @@ def test_criterion_3_deep_sift_invariants():
             out = state.deep_sift(g)
             sifts += 1
             try:
-                state.validate()  # |delta_i| = 2^|X_i|, |X_i| <= ceil(log2 n), words
-                assert out.reconstruct() == g
+                validate_state(state)  # |delta_i| = 2^|X_i|, |X_i| <= ceil(log2 n), words
+                assert reconstruct(out) == g
                 assert state.certificate().validate()
             except AssertionError:
                 violations += 1
@@ -165,9 +168,9 @@ def test_criterion_5_lemma_checks_small():
         for _ in range(12):
             g = random_element(gens, rng)
             entry = next(
-                (i for i, b in enumerate(state.base) if g.images[b] != b), None
+                (i for i, b in enumerate(base_points(state)) if g.images[b] != b), None
             )
-            lam = None if entry is None else g.images[state.base[entry]]
+            lam = None if entry is None else g.images[base_points(state)[entry]]
             state.deep_sift(g)
             if entry is None or state.sum_xi(entry + 1) > 6:
                 continue

@@ -1,10 +1,11 @@
 """Source hygiene of the package, checked with the stdlib ``ast`` module:
 no unused import, no unreferenced module-level private name, no public
-function or class that neither program code uses nor ``__all__``
-exports, an ``__all__`` whose every name resolves, no ``assert``
-statement, the unchecked ``BlockSystem`` constructor used in
-``blocks`` only, and an oracle that imports nothing it judges; and the
-names the benchmark's tracer patches still exist and get traced."""
+function, class, or method of a class outside ``__all__`` that neither
+program code uses nor ``__all__`` exports, an ``__all__`` whose every
+name resolves, no ``assert`` statement, the unchecked ``BlockSystem``
+constructor used in ``blocks`` only, and an oracle that imports nothing
+it judges; and the names the benchmark's tracer patches still exist and
+get traced."""
 
 import ast
 import importlib.util
@@ -101,23 +102,38 @@ def test_module_level_private_names_are_referenced():
 
 
 def test_module_level_public_names_are_used():
-    # a public function or class that no program code reads and __all__
-    # does not export is dead code kept alive only by its tests
+    """A public function or class that no program code reads and
+    ``__all__`` does not export is dead code kept alive only by its tests,
+    and so is a public method or property of a class outside ``__all__``.
+
+    Names are matched, not bindings: a method counts as used once program
+    code reads its name on anything, so ``SiftState.validate`` and
+    ``Certificate.validate`` cannot be told apart.
+    """
     root = PACKAGE.parent.parent
-    referenced = set(blocksift.__all__)
+    exported = set(blocksift.__all__)
+    referenced = set(exported)
     for path in [*MODULES, *(root / "tools").glob("*.py"), *(root / "perfbench").glob("*.py")]:
         tree = parse(path)
         referenced |= used_names(tree)
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom):
                 referenced |= {a.name for a in node.names}
-    unused = [
-        f"{path.name}: {node.name}"
-        for path in MODULES
-        for node in parse(path).body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and not node.name.startswith("_") and node.name not in referenced
-    ]
+    unused = []
+    for path in MODULES:
+        for node in parse(path).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            names = [(node.name, node.name)]
+            if isinstance(node, ast.ClassDef) and node.name not in exported:
+                names += [
+                    (f"{node.name}.{item.name}", item.name)
+                    for item in node.body if isinstance(item, ast.FunctionDef)
+                ]
+            unused += [
+                f"{path.name}: {label}" for label, name in names
+                if not name.startswith("_") and name not in referenced
+            ]
     assert not unused, f"public names no program code uses: {unused}"
 
 

@@ -1,5 +1,4 @@
 import random
-from collections import deque
 
 import pytest
 from hypothesis import given, strategies as st
@@ -12,7 +11,7 @@ from blocksift.perm import (
     orbit,
 )
 from blocksift.words import Word
-from conftest import perm
+from conftest import perm, reference_orbit
 
 
 def random_perms(max_degree=8):
@@ -72,72 +71,46 @@ class TestInverse:
 
 class TestOrbit:
     def test_four_cycle(self):
-        assert orbit([perm(4, (0, 1, 2, 3))], 0) == [0, 1, 2, 3]
+        assert orbit(perm(4, (0, 1, 2, 3)), 0, 4) == [0, 1, 2, 3]
 
     def test_identity_fixed(self):
-        assert orbit([Permutation.identity(6)], 5) == [5]
+        assert orbit(Permutation.identity(6), 5, 6) == [5]
 
     def test_two_transpositions(self):
-        assert orbit([perm(4, (0, 1), (2, 3))], 0) == [0, 1]
-
-    def test_order_independent_as_set(self):
-        a, b = perm(5, (0, 1)), perm(5, (1, 2, 3))
-        assert set(orbit([a, b], 0)) == set(orbit([b, a], 0))
+        assert orbit(perm(4, (0, 1), (2, 3)), 0, 4) == [0, 1]
 
 
 class TestOrbitLimit:
     def test_prefix_when_orbit_is_larger(self):
-        gens = [perm(10, tuple(range(10))), perm(10, (0, 5))]
-        full = orbit(gens, 3)
+        g = perm(10, (0, 5, 3, 9, 1, 8, 2, 7, 4, 6))
+        full = orbit(g, 3, 10)
+        assert len(full) == 10
         for limit in range(1, len(full)):
-            assert orbit(gens, 3, limit) == full[: limit + 1]
+            assert orbit(g, 3, limit) == full[: limit + 1]
 
     def test_single_permutation_walks_its_cycle(self):
         g = perm(10, (0, 4, 7), (1, 2))
-        assert orbit([g], 4) == [4, 7, 0]
-        assert orbit([g], 4, 2) == [4, 7, 0]
-        assert orbit([g], 4, 1) == [4, 7]
-        assert orbit([g], 3) == [3]
+        assert orbit(g, 4, 10) == [4, 7, 0]
+        assert orbit(g, 4, 2) == [4, 7, 0]
+        assert orbit(g, 4, 1) == [4, 7]
+        assert orbit(g, 3, 10) == [3]
 
     def test_whole_orbit_within_limit(self):
-        gens = [perm(12, (0, 1, 2, 3)), perm(12, (2, 5))]
-        full = orbit(gens, 0)
-        assert sorted(full) == [0, 1, 2, 3, 5]
-        assert orbit(gens, 0, len(full)) == full
-        assert orbit(gens, 0, 12) == full
+        g = perm(12, (0, 1, 2, 3), (5, 6))
+        full = orbit(g, 0, 12)
+        assert full == [0, 1, 2, 3]
+        assert orbit(g, 0, len(full)) == full
 
     def test_word_provider(self):
         x = perm(9, tuple(range(9)))
         y = perm(9, (0, 3, 6))
-        words = [Word(9, [x, y.inverse()]), Word(9, [y])]
-        perms = [w.eval() for w in words]
-        full = orbit(perms, 1)
-        assert full == reference_orbit(words, 1)
+        word = Word(9, [x, y.inverse()])
+        r = word.eval()
+        full = orbit(r, 1, 9)
+        assert full == reference_orbit([word], 1)
         for limit in range(1, len(full)):
-            assert orbit(perms, 1, limit) == full[: limit + 1]
-        assert orbit(perms, 1, len(full)) == full
-
-    def test_limit_below_one_rejected(self):
-        with pytest.raises(ValueError):
-            orbit([perm(3, (0, 1, 2))], 0, 0)
-
-
-def reference_orbit(actions, start, limit=None):
-    """Closure of {start} by a deque BFS over ``apply``: the reference
-    visiting order and ``limit`` cut for ``orbit``."""
-    limit = actions[0].degree if limit is None else limit
-    seen, out, queue = {start}, [start], deque([start])
-    while queue:
-        p = queue.popleft()
-        for a in actions:
-            q = a.apply(p)
-            if q not in seen:
-                seen.add(q)
-                out.append(q)
-                if len(out) > limit:
-                    return out
-                queue.append(q)
-    return out
+            assert orbit(r, 1, limit) == full[: limit + 1]
+        assert orbit(r, 1, len(full)) == full
 
 
 @st.composite
@@ -158,11 +131,27 @@ class TestOrbitWalk:
     @given(mixed_providers(), st.data())
     def test_matches_the_deque_reference(self, case, data):
         n, actions = case
-        start = data.draw(st.integers(0, n - 1))
-        limit = data.draw(st.one_of(st.none(), st.integers(1, n)))
         # words evaluated to permutations, walked over their image arrays
         perms = [a if isinstance(a, Permutation) else a.eval() for a in actions]
-        assert orbit(perms, start, limit) == reference_orbit(actions, start, limit)
+        i = data.draw(st.integers(0, len(actions) - 1))
+        start = data.draw(st.integers(0, n - 1))
+        limit = data.draw(st.integers(1, n))
+        walked = orbit(perms[i], start, limit)
+        assert walked == reference_orbit([actions[i]], start, limit)
+        # cells of one point each: the cell closure is the same cycle walk
+        assert orbit(perms[i], start, limit, Orbits(n, [])) == walked
+        # cells of the other actions' group K: whole cells of the closure
+        # under K and the action, in full once it fits the limit
+        cells = Orbits(n, perms[:i] + perms[i + 1:])
+        got = orbit(perms[i], start, limit, cells)
+        full = reference_orbit(actions, start)
+        assert len(set(got)) == len(got) and set(got) <= set(full)
+        assert got[:cells.size[cells.root[start]]] == cells.cell(start)
+        assert all(set(cells.cell(p)) <= set(got) for p in got)
+        if len(full) <= limit:
+            assert sorted(got) == sorted(full)
+        else:
+            assert len(got) > limit
         gens = GeneratorSet(n, perms)
         assert is_transitive(gens) == (len(reference_orbit(perms, 0)) == n)
 
@@ -195,7 +184,7 @@ class TestOrbits:
         for r in roots:
             cell = cells.members[cells.first[r]:cells.first[r] + cells.size[r]]
             assert cell[0] == r == min(cell)
-            assert sorted(cell) == (sorted(orbit(gens, r)) if gens else [r])
+            assert sorted(cell) == (sorted(reference_orbit(gens, r)) if gens else [r])
             assert all(cells.root[p] == r for p in cell)
 
 
@@ -206,25 +195,24 @@ class TestOrbitCells:
     R = perm(6, (0, 2, 4), (1, 3, 5))
 
     def test_whole_cells_in_reach_order(self):
-        assert orbit([self.R], 0, cells=self.K) == [0, 1, 2, 3, 4, 5]
+        assert orbit(self.R, 0, 6, self.K) == [0, 1, 2, 3, 4, 5]
         # 3 reaches 5, whose cell comes in least point first
-        assert orbit([self.R], 3, cells=self.K) == [3, 4, 5, 0, 1, 2]
-
-    def test_no_providers_gives_the_cell(self):
-        assert orbit([], 5, cells=self.K) == [4, 5]
+        assert orbit(self.R, 3, 6, self.K) == [3, 4, 5, 0, 1, 2]
 
     def test_limit_checked_before_walking_a_cell(self):
         # the start's cell alone passes the limit
-        assert orbit([self.R], 4, 1, self.K) == [4, 5]
+        assert orbit(self.R, 4, 1, self.K) == [4, 5]
         # {0, 1} fits; the cell {2} reached from 0 makes 3 points
-        assert orbit([self.R], 0, 2, self.K) == [0, 1, 2]
-        assert orbit([self.R], 0, 6, self.K) == orbit([self.R], 0, cells=self.K)
+        assert orbit(self.R, 0, 2, self.K) == [0, 1, 2]
 
     def test_degree_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            orbit([perm(5, (0, 1))], 0, cells=self.K)
+            orbit(perm(5, (0, 1)), 0, 6, self.K)
         with pytest.raises(ValueError):
-            orbit([self.R], 6, cells=self.K)
+            orbit(self.R, 6, 6, self.K)
+        # a negative start would index from the end
+        with pytest.raises(ValueError):
+            orbit(self.R, -1, 6)
 
 
 class TestTransitivity:

@@ -24,7 +24,7 @@ from blocksift.primitivity import (
 from blocksift.sift import Certificate
 from blocksift.transversal import build_point_transversal, build_scoped_transversal
 from blocksift.words import Word
-from conftest import perm, relabel
+from conftest import perm, reference_orbit, relabel
 
 
 A5 = GeneratorSet(5, [perm(5, (0, 1, 2, 3, 4)), perm(5, (0, 1, 2))])
@@ -359,12 +359,12 @@ class TestCandidateSizeBound:
             scans.append((list(hgens), Orbits(degree, hgens)))
             return scans[-1][1]
 
-        def checked_orbit(actions, start, limit=None, cells=None):
-            delta = orbit(actions, start, limit, cells)
-            if limit is not None and len(delta) > limit:
-                lam = actions[-1].apply(start)  # r_lam comes last
+        def checked_orbit(r, start, limit, cells=None):
+            delta = orbit(r, start, limit, cells)
+            if len(delta) > limit:
+                lam = r.apply(start)
                 assert minimal_block(gens, [start, lam]) == omega
-                skipped.append(("closed", len(orbit(actions, start, cells=cells))))
+                skipped.append(("closed", len(orbit(r, start, n, cells))))
             return delta
 
         monkeypatch.setattr(primitivity, "build_point_transversal", recording_transversal)
@@ -381,7 +381,7 @@ class TestCandidateSizeBound:
                     # size is 0 off the least point of each H-orbit
                     if lam != alpha and horbits.size[lam] >= dmax:
                         assert minimal_block(gens, [alpha, lam]) == omega
-                        full = orbit(hgens + [rmap.word(lam).eval()], alpha)
+                        full = reference_orbit(hgens + [rmap.word(lam).eval()], alpha)
                         skipped.append(("dropped", len(full)))
         assert routes <= {route for route, size in skipped if size < n}
 
@@ -419,8 +419,8 @@ def test_cell_closure_matches_plain_closure(data):
     r = rmap.word(data.draw(st.sampled_from(rmap.points))).eval()
     start = data.draw(st.sampled_from([alpha, rng.randrange(n)]))
     limit = data.draw(st.integers(1, n))
-    full = orbit(hgens + [r], start)
-    got = orbit([r], start, limit, cells)
+    full = reference_orbit(hgens + [r], start)
+    got = orbit(r, start, limit, cells)
     assert len(set(got)) == len(got) and set(got) <= set(full)
     if len(full) <= limit:
         assert sorted(got) == sorted(full)
@@ -434,7 +434,7 @@ def test_candidates_close_over_evaluated_r(monkeypatch, spec):
     # transversal get the same Permutation, and no word acts point by point.
     gens = relabel(build(parse_spec(spec)), random.Random(spec), 1)
     applied = []
-    closed = []  # the permutations each candidate closure walks
+    closed = []  # the permutation each candidate closure walks
     scoped = []  # (r passed in, r of the closure before it)
     word_apply = Word.apply
 
@@ -442,12 +442,12 @@ def test_candidates_close_over_evaluated_r(monkeypatch, spec):
         applied.append(p)
         return word_apply(self, p)
 
-    def recording_orbit(perms, start, limit=None, cells=None):
-        closed.append(list(perms))
-        return orbit(perms, start, limit, cells)
+    def recording_orbit(r, start, limit, cells=None):
+        closed.append(r)
+        return orbit(r, start, limit, cells)
 
     def recording_scoped(state, r):
-        scoped.append((r, closed[-1][-1]))
+        scoped.append((r, closed[-1]))
         return build_scoped_transversal(state, r)
 
     monkeypatch.setattr(Word, "apply", counting_apply)
@@ -460,7 +460,7 @@ def test_candidates_close_over_evaluated_r(monkeypatch, spec):
     ):
         driver(gens)
     assert applied == []
-    assert closed and all(type(g) is Permutation for perms in closed for g in perms)
+    assert closed and all(type(r) is Permutation for r in closed)
     for r, last_closed in scoped:
         assert type(r) is Permutation and r is last_closed
     if spec == "subsets(6,2)":

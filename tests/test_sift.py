@@ -11,11 +11,14 @@ from blocksift.sift import SiftState
 from blocksift.transversal import build_point_transversal
 from blocksift.words import WitnessMap, Word
 from conftest import (
+    base_points,
     brute_force_elements,
     enumerate_deep_cube,
     perm,
     random_element,
+    reconstruct,
     relabel,
+    validate_state,
 )
 
 
@@ -29,7 +32,7 @@ def two_level_state():
 class TestInitState:
     def test_four_cycle(self):
         state = SiftState.init_state(4, 4, perm(4, (0, 1, 2, 3)), 0)
-        assert state.base == [0]
+        assert base_points(state) == [0]
         assert set(state.levels[0].points) == {0, 1}
 
     def test_smallest_case_hits_bound(self):
@@ -53,15 +56,16 @@ class TestDeepSift:
     def test_disjoint_translate_appends(self):
         state = SiftState.init_state(4, 4, perm(4, (0, 1, 2, 3)), 0)
         out = state.deep_sift(perm(4, (0, 2), (1, 3)))
-        assert out.kind == "appended" and out.level == 1
+        assert out.kind == "appended" and state.level_count == 1
+        assert state.levels[0].elems[-1] is out.terminal
         assert set(state.levels[0].points) == {0, 1, 2, 3}
 
     def test_new_base_point_trace(self):
         # pinned trace: lambda = 0, s = the 4-cycle, t = empty,
         # stripped element (1 3) opens level 2 at beta_2 = 1
         state, out = two_level_state()
-        assert out.kind == "new_base_point" and out.level == 2
-        assert state.base == [0, 1]
+        assert out.kind == "new_base_point" and state.level_count == 2
+        assert base_points(state) == [0, 1]
         assert state.levels[1].elems == [perm(4, (1, 3))]
         assert set(state.levels[1].points) == {1, 3}
         # stripped element is in the stabilizer of 0 (brute-force membership)
@@ -73,7 +77,7 @@ class TestDeepSift:
         state = SiftState.init_state(4, 4, perm(4, (0, 1, 2, 3)), 0)
         g = perm(4, (0, 1), (2, 3))
         out = state.deep_sift(g)
-        assert out.reconstruct() == g
+        assert reconstruct(out) == g
 
     def test_degree_mismatch(self):
         state = SiftState.init_state(4, 4, perm(4, (0, 1, 2, 3)), 0)
@@ -156,8 +160,8 @@ def test_random_sift_invariants(name, gens, order):
         for _ in range(25):
             g = random_element(gens, rng)
             out = state.deep_sift(g)
-            state.validate()
-            assert out.reconstruct() == g
+            validate_state(state)
+            assert reconstruct(out) == g
             new_total = state.sum_xi()
             if out.kind == "sifted_to_identity":
                 assert new_total == total
@@ -180,9 +184,9 @@ def test_deep_cube_lemmas_small(name, gens, order):
         for _ in range(15):
             g = random_element(gens, rng)
             entry = next(
-                (i for i, b in enumerate(state.base) if g.images[b] != b), None
+                (i for i, b in enumerate(base_points(state)) if g.images[b] != b), None
             )
-            lam = None if entry is None else g.images[state.base[entry]]
+            lam = None if entry is None else g.images[base_points(state)[entry]]
             state.deep_sift(g)
             if entry is None or state.sum_xi(entry + 1) > 6:
                 continue
@@ -241,7 +245,7 @@ def test_stored_elements_pass_checked_construction(full_corpus, monkeypatch):
                     assert (g * inv).is_identity()
                     assert g.inverse().inverse() is g
                     checked += 1
-                state.validate()
+                validate_state(state)
     assert checked > 1000
 
 

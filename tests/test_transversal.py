@@ -4,10 +4,10 @@ import random
 import pytest
 
 from blocksift.corpus import standard_corpus
-from blocksift.perm import GeneratorSet, Permutation, orbit
+from blocksift.perm import GeneratorSet, Permutation
 from blocksift.sift import SiftState
 from blocksift.transversal import build_point_transversal, build_scoped_transversal
-from conftest import perm, random_element, relabel
+from conftest import base_points, perm, random_element, reference_orbit, relabel
 
 
 class TestBuildPointTransversal:
@@ -22,7 +22,7 @@ class TestBuildPointTransversal:
         gens = GeneratorSet(3, [perm(3, (0, 1)), perm(3, (1, 2))])
         state, rmap = build_point_transversal(gens, 0, 1)
         assert rmap is None
-        assert state.base == [0, 1]
+        assert base_points(state) == [0, 1]
         assert state.certificate().entries == [
             (0, perm(3, (0, 1))),
             (1, perm(3, (1, 2))),
@@ -182,6 +182,6 @@ def test_queue_pairs_become_closed():
         _, rmap = build_point_transversal(gens, 0, 6)
         assert rmap is not None
         oset = set(rmap.points)
-        assert oset == set(orbit(gens.generators, 0))
+        assert oset == set(reference_orbit(gens.generators, 0))
         for s in gens.generators:
             assert {s.images[p] for p in oset} == oset

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from itertools import combinations
 
 import pytest
 

@@ -9,12 +9,9 @@ import math
 import random
 import time
 
-import pytest
-
 import conftest
 from blocksift.blocks import atkinson_baseline, minimal_block, validate_block_system
-from blocksift.corpus import build, parse_spec, standard_corpus
-from blocksift.perm import GeneratorSet
+from blocksift.corpus import build, parse_spec
 from blocksift.primitivity import (
     find_blocks_from_certificate,
     primitivity_main,

@@ -352,6 +352,34 @@ def test_internal_checks_survive_python_dash_o():
     assert proc.stdout.startswith("InternalError: H-update")
 
 
+def test_state_validation_survives_python_dash_o():
+    # validate_state lives in tests/conftest.py; its checks are explicit
+    # raises, so a corrupted state is still caught with asserts stripped
+    tests = Path(__file__).resolve().parent
+    script = textwrap.dedent(f"""
+        import sys
+        sys.path.insert(0, {str(tests)!r})
+        from blocksift.corpus import build, parse_spec
+        from blocksift.transversal import build_point_transversal
+        from conftest import validate_state
+
+        assert False, "assert statements must be stripped"
+        state, _ = build_point_transversal(build(parse_spec("dihedral(16)")), 0, 20)
+        validate_state(state)
+        level = state.levels[0]
+        level.elems.append(level.elems[-1])  # X_1 holds one element twice
+        try:
+            validate_state(state)
+        except AssertionError as exc:
+            print("AssertionError:", exc)
+            sys.exit(0)
+        sys.exit(1)
+    """)
+    proc = run_dash_o(script)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.startswith("AssertionError: ")
+
+
 def run_dash_o(script: str) -> subprocess.CompletedProcess:
     """Run a script under ``python -O`` with this package importable."""
     src = Path(blocksift.__file__).resolve().parent.parent

@@ -1,8 +1,8 @@
 """Source hygiene of the package, checked with the stdlib ``ast`` module:
-no unused import, no unreferenced module-level private name, no public
-function, class, or method of a class outside ``__all__`` that neither
-program code uses nor ``__all__`` exports, an ``__all__`` whose every
-name resolves, no ``assert`` statement, the unchecked ``BlockSystem``
+no unused import in the package or its tests, no unreferenced
+module-level private name, no public function, class, or method of a
+class outside ``__all__`` that neither program code uses nor ``__all__``
+exports, an ``__all__`` whose every name resolves, no ``assert`` statement, the unchecked ``BlockSystem``
 constructor used in ``blocks`` only, and an oracle that imports nothing
 it judges; and the names the benchmark's tracer patches still exist and
 get traced."""
@@ -74,6 +74,17 @@ def test_no_unused_imports(path):
     used = used_names(tree) | set(all_names(tree))
     unused = [f"{name} (line {line})" for name, line in imported_names(tree) if name not in used]
     assert not unused, f"{path.name}: unused imports {unused}"
+
+
+def test_test_files_have_no_unused_imports():
+    # the same check over this directory, which no per-module case covers
+    found = []
+    for path in sorted(Path(__file__).resolve().parent.glob("*.py")):
+        tree = parse(path)
+        used = used_names(tree) | set(all_names(tree))
+        found += [f"{path.name}: {name} (line {line})"
+                  for name, line in imported_names(tree) if name not in used]
+    assert not found, f"unused imports in tests: {found}"
 
 
 def test_module_level_private_names_are_referenced():

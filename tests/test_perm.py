@@ -79,6 +79,16 @@ class TestOrbit:
     def test_two_transpositions(self):
         assert orbit(perm(4, (0, 1), (2, 3)), 0, 4) == [0, 1]
 
+    def test_order_independent_as_set(self):
+        # the cycle through 0 is one set whichever of its points starts
+        # the walk, and whichever direction walks it
+        a = perm(5, (0, 3, 1), (2, 4))
+        walked = orbit(a, 0, 5)
+        assert walked == [0, 3, 1]
+        for start in walked:
+            assert set(orbit(a, start, 5)) == set(walked)
+        assert orbit(a.inverse(), 0, 5) == [0, 1, 3]
+
 
 class TestOrbitLimit:
     def test_prefix_when_orbit_is_larger(self):
@@ -198,6 +208,10 @@ class TestOrbitCells:
         assert orbit(self.R, 0, 6, self.K) == [0, 1, 2, 3, 4, 5]
         # 3 reaches 5, whose cell comes in least point first
         assert orbit(self.R, 3, 6, self.K) == [3, 4, 5, 0, 1, 2]
+
+    def test_no_providers_gives_the_cell(self):
+        # the identity moves no point out of the start's cell
+        assert orbit(Permutation.identity(6), 5, 6, self.K) == [4, 5]
 
     def test_limit_checked_before_walking_a_cell(self):
         # the start's cell alone passes the limit

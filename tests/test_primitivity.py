@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from blocksift.blocks import atkinson_baseline, minimal_block, validate_block_system
 from blocksift.cli import cli_main
-from blocksift.corpus import build, parse_spec, spec_order
+from blocksift.corpus import build, parse_spec
 from blocksift.ioformats import emit_generators
 from blocksift import primitivity
 from blocksift.perm import GeneratorSet, Orbits, Permutation, orbit

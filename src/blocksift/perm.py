@@ -8,6 +8,7 @@ rely on this right-action order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from operator import itemgetter
 from typing import Iterable, Sequence
 
@@ -201,6 +202,48 @@ class Orbits:
     @property
     def degree(self) -> int:
         return len(self.root)
+
+    def merged(self, perms: Sequence[Permutation]) -> "Orbits":
+        """The orbits of the group generated by these orbits' group and
+        ``perms``, found by joining cells instead of walking every
+        generator again.
+
+        ``root`` and ``size`` equal those of ``Orbits`` on all the
+        generators, and each cell is listed from its root, but a joined
+        cell lists its old cells whole, in the order the walk reaches them.
+        Only ``perms`` act: a cell that a walked point lands in joins whole.
+        """
+        root, size, first, members = self.root, self.size, self.first, self.members
+        n = len(root)
+        # per permutation, the old root of each point's image, found in C
+        lands = [product_images(g.images, root) for g in perms]
+        rename = list(range(n))  # old root -> root of its joined cell
+        taken = bytearray(n)
+        new_size = [0] * n
+        new_first = [0] * n
+        out: list[int] = []
+        # old roots ascend, so each joined cell is first met at its least root
+        for r in compress(range(n), size):
+            if taken[r]:
+                continue
+            taken[r] = 1
+            i = first[r]
+            cell = members[i:i + size[r]]
+            for p in cell:  # grows while it is walked
+                for land in lands:
+                    c = land[p]
+                    if not taken[c]:
+                        taken[c] = 1
+                        rename[c] = r
+                        j = first[c]
+                        cell += members[j:j + size[c]]
+            new_first[r] = len(out)
+            new_size[r] = len(cell)
+            out += cell
+        cells = object.__new__(Orbits)
+        cells.root = list(product_images(root, rename))
+        cells.size, cells.first, cells.members = new_size, new_first, out
+        return cells
 
     def cell(self, p: int) -> list[int]:
         """The points of p's orbit, its least point first."""

@@ -19,6 +19,7 @@ certificate fallback.
 from __future__ import annotations
 
 import math
+from itertools import zip_longest
 from dataclasses import asdict, dataclass, field
 from typing import Literal
 
@@ -197,11 +198,19 @@ def ss_primitivity(gens: GeneratorSet, cap: int) -> Verdict:
     transitive = len(rmap.points) == n if rmap is not None else is_transitive(gens)
     if not transitive:
         raise ValueError(_NEEDS_TRANSITIVE)
+    # the H-orbits of the last round, None while H is trivial, and how many
+    # elements of each level below the first they cover; levels only grow,
+    # so a round joins the last round's cells along the elements added since
+    cells: Orbits | None = None
+    covered: list[int] = []
     while not state.capped:
-        hgens = state.deep_element_perms()
+        deep = state.levels[1:]
+        added = [x for lv, k in zip_longest(deep, covered, fillvalue=0) for x in lv.elems[k:]]
+        covered = [len(lv.elems) for lv in deep]
+        if added:
+            cells = cells.merged(added) if cells else Orbits(n, added)
         # the candidate is a union of H-orbits: close it one whole H-orbit
         # at a time, unless H is trivial and the candidate is r's cycle
-        cells = Orbits(n, hgens) if hgens else None
         size = cells.size if cells else [1] * n
         # <H, r_lam> maps every block holding alpha and lam to itself, so a
         # candidate of more than dmax points shows that no proper block holds

@@ -197,6 +197,44 @@ class TestOrbits:
             assert sorted(cell) == (sorted(reference_orbit(gens, r)) if gens else [r])
             assert all(cells.root[p] == r for p in cell)
 
+    @given(st.integers(1, 12).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(st.permutations(list(range(n))).map(Permutation), max_size=3),
+            st.lists(st.permutations(list(range(n))).map(Permutation), max_size=3),
+        )
+    ))
+    def test_merged_matches_orbits_of_all(self, case):
+        n, a, b = case
+        old = Orbits(n, a)
+        got, want = old.merged(b), Orbits(n, a + b)
+        assert got.root == want.root and got.size == want.size
+        assert sorted(got.members) == list(range(n))
+        for r in range(n):
+            if want.size[r]:
+                cell = got.members[got.first[r]:got.first[r] + got.size[r]]
+                assert cell[0] == r and set(cell) == set(want.cell(r))
+        # the old cells are left as they were
+        assert old.root == Orbits(n, a).root
+
+    def test_merged_along_nothing(self):
+        old = Orbits(8, [perm(8, (3, 1, 6)), perm(8, (6, 4), (0, 7))])
+        for b in ([], [Permutation.identity(8)], [perm(8, (1, 4), (0, 7))]):
+            # no permutation, or only ones that keep every cell, joins nothing
+            got = old.merged(b)
+            assert (got.root, got.size) == (old.root, old.size), b
+            assert [sorted(got.cell(r)) for r in (0, 1, 2, 5)] == [
+                [0, 7], [1, 3, 4, 6], [2], [5]
+            ], b
+
+    def test_merged_joins_whole_cells(self):
+        old = Orbits(8, [perm(8, (3, 1, 6)), perm(8, (6, 4), (0, 7))])
+        got = old.merged([perm(8, (2, 4)), perm(8, (7, 5))])
+        assert got.root == [0, 1, 1, 1, 1, 0, 1, 0]
+        # 1's cell first, then 2's, which 4 lands in
+        assert got.cell(6) == [1, 6, 3, 4, 2]
+        assert got.cell(5) == [0, 7, 5] and got.size[2] == got.size[5] == 0
+
 
 class TestOrbitCells:
     # K is generated by the double transposition (0 1)(4 5); R is the

@@ -355,9 +355,18 @@ class TestCandidateSizeBound:
             transversals.append(build_point_transversal(*args))
             return transversals[-1]
 
+        # a round's H-orbits are built once, then joined along each round's
+        # new elements of H; both are recorded with the generators of H
         def recording_orbits(degree, hgens):
             scans.append((list(hgens), Orbits(degree, hgens)))
             return scans[-1][1]
+
+        def recording_merged(cells, added):
+            (hgens,) = [h for h, c in scans if c is cells]
+            scans.append((hgens + list(added), real_merged(cells, added)))
+            return scans[-1][1]
+
+        real_merged = Orbits.merged
 
         def checked_orbit(r, start, limit, cells=None):
             delta = orbit(r, start, limit, cells)
@@ -369,6 +378,7 @@ class TestCandidateSizeBound:
 
         monkeypatch.setattr(primitivity, "build_point_transversal", recording_transversal)
         monkeypatch.setattr(primitivity, "Orbits", recording_orbits)
+        monkeypatch.setattr(Orbits, "merged", recording_merged)
         monkeypatch.setattr(primitivity, "orbit", checked_orbit)
         for driver in (primitivity_main, ss_uncapped):
             transversals.clear()

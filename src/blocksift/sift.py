@@ -121,8 +121,12 @@ class SiftState:
         return Word(self.n, [x for lv in reversed(self.levels[i - 1:]) for x in lv.elems])
 
     def level_deep_orbit(self, i: int) -> tuple[list[int], WitnessMap]:
-        """Images of beta_i under the deep cube at level i, with r-words."""
-        return deep_cube_orbit(self.xstar(i), self.levels[i - 1].beta)
+        """Images of beta_i under the deep cube at level i, with r-words.
+        Inverses are searched, not built, only while the state has one
+        level (see ``words._SEARCHED_POINTS``)."""
+        return deep_cube_orbit(
+            self.xstar(i), self.levels[i - 1].beta, search=len(self.levels) == 1
+        )
 
     def deep_sift(self, g: Permutation) -> SiftOutcome:
         if g.degree != self.n:

@@ -5,7 +5,8 @@ evaluated left to right under the project-wide right-action convention.
 An inverted letter is the inverse its permutation caches, so inverting a
 word twice gives back the very same letter objects and each element's
 inverse image tuple is built at most once; :func:`deep_cube_orbit` has
-one built only for a word that holds it or a step past a few points. A
+one built only for a word that holds it, a step past a few points, or
+any step when it is not asked to search. A
 word's letters, read as a list X, also name the cube C(X): the set of
 subset products x1^e1 ... xj^ej (e in {0,1}). A :class:`WitnessMap`
 holds the images of one root under such a cube, each with its witness
@@ -56,6 +57,11 @@ class Word:
 # builds nothing, while the map holds at most this many points. At n =
 # 16384 one search takes about 0.13 ms and a full inverse pass about
 # 0.97 ms, so past a few points the inverse is built and cached instead.
+# A sift state asks for the search only while it has one level: that is
+# the build in which a build-time try can end the decision before any
+# inverse is needed. Once a second level opens, most inverses get built
+# by a later rebuild or r-word anyway, and searching an element first, at
+# 1, 2 and then 4 points in successive rebuilds, only repeats that work.
 _SEARCHED_POINTS = 4
 
 
@@ -130,7 +136,7 @@ class WitnessMap:
         return Word(len(parent), rev)
 
 
-def deep_cube_orbit(xstar: Word, beta: int) -> tuple[list[int], WitnessMap]:
+def deep_cube_orbit(xstar: Word, beta: int, search: bool = True) -> tuple[list[int], WitnessMap]:
     """Image set of ``beta`` under the deep cube C(X*)^-1 C(X*).
 
     C(X)^-1 = C(X^-1) for X^-1 the reversed list of inverses, so this is
@@ -142,17 +148,18 @@ def deep_cube_orbit(xstar: Word, beta: int) -> tuple[list[int], WitnessMap]:
     over a subsequence of the list, so of length <= 2|X*|, mapping
     ``beta`` to it.
     A step of the X*^-1 half uses the inverse an element caches, if any;
-    else, while the map holds at most ``_SEARCHED_POINTS`` points, it
-    records inverted links by searching the element's images, and only
-    past that builds the inverse. Points, order and words (down to the
-    inverse objects) are those of an expansion over ``xstar.inverse_word()``.
+    else, with ``search`` and while the map holds at most
+    ``_SEARCHED_POINTS`` points, it records inverted links by searching
+    the element's images, and otherwise builds the inverse. Points, order
+    and words (down to the inverse objects) are those of an expansion over
+    ``xstar.inverse_word()`` either way.
     """
     wit = WitnessMap(xstar.degree, beta)
     n = xstar.degree
     for x in reversed(xstar.letters):
         if len(wit.points) == n:
             break
-        if x._inv is None and len(wit.points) <= _SEARCHED_POINTS:
+        if search and x._inv is None and len(wit.points) <= _SEARCHED_POINTS:
             wit.expand_inverse(x)
         else:
             wit.expand(x.inverse())

@@ -138,6 +138,28 @@ class TestLevelDeepOrbit:
         with pytest.raises(ValueError):
             state.level_deep_orbit(3)
 
+    def test_inverses_searched_only_with_one_level(self, full_corpus):
+        # A one-level state searches a few points through inverses it has
+        # not built; a state of two or more levels builds them, so no point
+        # of its deep orbits is reached through an inverted link.
+        rng = random.Random(31)
+        searched = built = 0
+
+        def check(state, outcome):
+            nonlocal searched, built
+            unbuilt = any(x._inv is None for lv in state.levels for x in lv.elems)
+            for i in range(1, state.level_count + 1):
+                _, wit = state.level_deep_orbit(i)
+                if state.level_count > 1:
+                    assert not wit.inverted
+                searched += bool(wit.inverted)
+            built += state.level_count > 1 and unbuilt
+
+        for entry in full_corpus:
+            gens = relabel(entry.gens, rng, extra=1)
+            build_point_transversal(gens, 0, gens.degree, check)
+        assert searched and built
+
 
 SMALL_GROUPS = [
     ("c6", GeneratorSet(6, [perm(6, (0, 1, 2, 3, 4, 5))]), 6),

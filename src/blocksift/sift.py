@@ -157,9 +157,11 @@ class SiftState:
             chain.append((s, t))
             # s g t^-1 as one word: an empty s or t costs no identity product
             g = Word(self.n, s.letters + (g,) + t.inverse_word().letters).eval()
-        if g.is_identity():
+        # the least moved point, by a scan that stops at it; no moved point
+        # means g stripped to the identity
+        beta = next((p for p, v in enumerate(g.images) if v != p), None)
+        if beta is None:
             return SiftOutcome("sifted_to_identity", chain, g)
-        beta = min(g.support())
         self.levels.append(Level(beta, g))
         return SiftOutcome("new_base_point", chain, g)
 

@@ -6,7 +6,8 @@ from each failed test, until it certifies primitivity, finds a block
 system, or exceeds the base-size cap. A candidate holding more than n/p
 points, p the smallest prime factor of n, lies in no proper block: one
 whose H-orbit alone is that large is dropped unclosed, and the others are
-closed one H-orbit at a time and skipped once they pass n/p. At prime
+closed one H-orbit at a time and skipped once they pass n/p, in that
+round and, unclosed, in every later one. At prime
 degree n/p = 1, so the answer is ``primitive`` before anything is built.
 While H is still trivial, a block is also tried during the point
 transversal build, after each sift that grows the first level: the cycle
@@ -47,8 +48,9 @@ class Diagnostics:
 
     sifts: int = 0
     h_updates: int = 0
-    # candidate closures run; H-orbits too large for a proper block are
-    # dropped unclosed and not counted
+    # candidate closures run; H-orbits too large for a proper block, and
+    # candidates that passed n/p in an earlier round, are not closed or
+    # counted
     candidates_closed: int = 0
     # blockness tests run; candidates that close past n/p are not counted
     candidates_tested: int = 0
@@ -133,6 +135,16 @@ def ss_primitivity(gens: GeneratorSet, cap: int) -> Verdict:
     - when p |S| > |Delta_1| neither cycle is closed: a tested cycle has
       at most n/p points, so its n / |delta| >= p translates per generator
       make at least p |S| > |Delta_1| checks, past the budget.
+
+    Each failed test grows H and starts a new scan round. Two facts carry
+    a round's work into the next, and neither changes a verdict, a block
+    system, a certificate or an H-update:
+    - levels only grow, so the elements of X_2* are those of the last
+      round plus the ones appended since; the round's H-orbits are the
+      last round's cells joined along those new elements alone;
+    - ``rmap`` is fixed once the build closes, and H only grows, so
+      alpha^<H, r_lam> only grows: a representative whose candidate
+      passed n/p in an earlier round passes again and is not closed.
     """
     n = gens.degree
     check_cap(cap)
@@ -199,10 +211,11 @@ def ss_primitivity(gens: GeneratorSet, cap: int) -> Verdict:
     if not transitive:
         raise ValueError(_NEEDS_TRANSITIVE)
     # the H-orbits of the last round, None while H is trivial, and how many
-    # elements of each level below the first they cover; levels only grow,
-    # so a round joins the last round's cells along the elements added since
+    # elements of each level below the first they cover
     cells: Orbits | None = None
     covered: list[int] = []
+    # representatives whose candidate passed dmax in an earlier round
+    passed: set[int] = set()
     while not state.capped:
         deep = state.levels[1:]
         added = [x for lv, k in zip_longest(deep, covered, fillvalue=0) for x in lv.elems[k:]]
@@ -219,7 +232,8 @@ def ss_primitivity(gens: GeneratorSet, cap: int) -> Verdict:
         # One candidate per H-orbit left but alpha's, by orbit size and then
         # least point; size * n + lam orders as that pair without a tuple.
         reps = sorted(
-            (lam for lam in range(n) if 0 < size[lam] < dmax and lam != alpha),
+            (lam for lam in range(n)
+             if 0 < size[lam] < dmax and lam != alpha and lam not in passed),
             key=lambda lam: size[lam] * n + lam,
         )
         for lam in reps:
@@ -229,6 +243,7 @@ def ss_primitivity(gens: GeneratorSet, cap: int) -> Verdict:
             diag.candidates_closed += 1
             delta = orbit(r, alpha, dmax, cells)
             if len(delta) > dmax:
+                passed.add(lam)
                 continue
             diag.candidates_tested += 1
             res = blockness_test(gens, delta, alpha)

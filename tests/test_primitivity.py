@@ -210,7 +210,7 @@ class TestPartialBaseExit:
             pytest.param(
                 lambda: relabel(build(parse_spec("subsets(12,2)")), random.Random(9)),
                 3, "scoped", [0, 2, 9, 15],
-                (9, 1, 4, 2, 4, 0, 8, [[2, 3]]), id="subsets(12,2)-9-scoped",
+                (9, 1, 3, 2, 4, 0, 8, [[2, 3]]), id="subsets(12,2)-9-scoped",
             ),
         ],
     )
@@ -334,44 +334,51 @@ class TestCandidateSizeBound:
                 ("subsets(8,2)", 200, {"closed"}),
                 ("m24", 100, {"closed"}),
                 ("symmetric(12)", 100, {"closed"}),
-                ("subsets(6,2)", 25, {"closed", "dropped"}),
+                ("subsets(6,2)", 25, {"closed", "dropped", "passed"}),
                 ("subsets(7,2)", 11, {"closed", "dropped"}),
             ]
         ],
     )
     def test_skipped_candidates_lie_in_no_proper_block(self, monkeypatch, spec, seed, routes):
-        # A candidate is skipped on one of two routes: its H-orbit alone
-        # holds n/p or more points and it is dropped unclosed, or its
-        # closure passes n/p. These relabellings give skipped candidates
+        # A candidate is skipped on one of three routes: its H-orbit alone
+        # holds n/p or more points and it is dropped unclosed, its closure
+        # passes n/p, or its closure passed n/p in an earlier round and it
+        # is not closed again. These relabellings give skipped candidates
         # with n/p < |alpha^<H, r_lam>| < n on the routes listed.
         gens = relabel(build(parse_spec(spec)), random.Random(seed))
         n = gens.degree
         omega = set(range(n))
         dmax = primitivity._largest_proper_divisor(n)
-        transversals, scans = [], []
+        transversals = []
+        # one per scan round: the generators of H, its orbits (None while H
+        # is trivial) and (lam, passed n/p) per candidate closed
+        rounds = []
         skipped = []  # (route, size of the whole candidate orbit)
 
         def recording_transversal(*args):
             transversals.append(build_point_transversal(*args))
+            rounds.append(([], None, []))  # the scan starts with H as built
             return transversals[-1]
 
-        # a round's H-orbits are built once, then joined along each round's
-        # new elements of H; both are recorded with the generators of H
+        # a round's H-orbits are built once H is nontrivial, then joined
+        # along each round's new elements of H; both start a round
         def recording_orbits(degree, hgens):
-            scans.append((list(hgens), Orbits(degree, hgens)))
-            return scans[-1][1]
+            rounds.append((list(hgens), Orbits(degree, hgens), []))
+            return rounds[-1][1]
 
         def recording_merged(cells, added):
-            (hgens,) = [h for h, c in scans if c is cells]
-            scans.append((hgens + list(added), real_merged(cells, added)))
-            return scans[-1][1]
+            (hgens,) = [h for h, c, _ in rounds if c is cells]
+            rounds.append((hgens + list(added), real_merged(cells, added), []))
+            return rounds[-1][1]
 
         real_merged = Orbits.merged
 
         def checked_orbit(r, start, limit, cells=None):
             delta = orbit(r, start, limit, cells)
+            lam = r.apply(start)
+            if rounds:  # not a try during the build
+                rounds[-1][2].append((lam, len(delta) > limit))
             if len(delta) > limit:
-                lam = r.apply(start)
                 assert minimal_block(gens, [start, lam]) == omega
                 skipped.append(("closed", len(orbit(r, start, n, cells))))
             return delta
@@ -382,17 +389,37 @@ class TestCandidateSizeBound:
         monkeypatch.setattr(primitivity, "orbit", checked_orbit)
         for driver in (primitivity_main, ss_uncapped):
             transversals.clear()
-            scans.clear()
+            rounds.clear()
             assert driver(gens).kind == "primitive"
             ((_, rmap),) = transversals
             alpha = rmap.points[0]
-            for hgens, horbits in scans:
+            passed = set()  # lam whose closure passed n/p in an earlier round
+            for hgens, horbits, closed in rounds:
+                size = horbits.size if horbits else [1] * n
+                # the round closes the representatives not passed before, by
+                # orbit size and then least point, until a test fails
+                order = sorted(
+                    (lam for lam in range(n)
+                     if lam != alpha and 0 < size[lam] < dmax and lam not in passed),
+                    key=lambda lam: (size[lam], lam),
+                )
+                assert [lam for lam, _ in closed] == order[:len(closed)]
                 for lam in range(n):
                     # size is 0 off the least point of each H-orbit
-                    if lam != alpha and horbits.size[lam] >= dmax:
+                    if lam == alpha or not size[lam]:
+                        continue
+                    if size[lam] >= dmax:
                         assert minimal_block(gens, [alpha, lam]) == omega
                         full = reference_orbit(hgens + [rmap.word(lam).eval()], alpha)
                         skipped.append(("dropped", len(full)))
+                    elif lam in passed:
+                        # skipped unclosed: under this round's H it still passes
+                        r = rmap.word(lam).eval()
+                        assert len(orbit(r, alpha, dmax, horbits)) > dmax
+                        assert minimal_block(gens, [alpha, lam]) == omega
+                        full = reference_orbit(hgens + [r], alpha)
+                        skipped.append(("passed", len(full)))
+                passed |= {lam for lam, past in closed if past}
         assert routes <= {route for route, size in skipped if size < n}
 
 
@@ -482,7 +509,8 @@ def test_primitive_counters_pinned(full_corpus):
     # primitive verdict keeps the sifts, H-updates and scan counts of the
     # driver without them. The digest was recorded from that driver, over
     # the corpus and one relabelled copy of each group with two extra
-    # generators.
+    # generators, once the scan stopped re-closing candidates that passed
+    # n/p in an earlier round (6 rows closed fewer; no other count moved).
     rows = []
     for entry in full_corpus:
         for copy in range(2):
@@ -495,7 +523,7 @@ def test_primitive_counters_pinned(full_corpus):
                                  d.candidates_closed, d.candidates_tested])
     digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
     assert len(rows) == 162
-    assert digest == "2c696d62eec3e9b1bb8ef47ce3f4c6577c21d94745d71f4c8de33f2f97322f22"
+    assert digest == "06325c2946a05f6cceebb36665cfdf6a80a7e5816ac26c150f1457f7e3d975cc"
 
 
 DIFFERENTIAL_CAPS = 4

@@ -24,6 +24,13 @@ def run_tool(*flags: str) -> str:
     return proc.stdout
 
 
+def load_tool():
+    spec = importlib.util.spec_from_file_location("verdict_digest", TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
+
+
 def test_digest_covers_one_record_per_case():
     match = re.fullmatch(r"([0-9a-f]{64})  \((\d+) cases\)\n", run_tool())
     assert match, "the digest line is a sha256 and a case count"
@@ -40,9 +47,7 @@ def test_oracle_counts_no_mismatch_and_catches_one():
     out = run_tool("--oracle").splitlines()
     assert out[0] + "\n" == run_tool()  # the digest line comes first, unchanged
     assert re.fullmatch(r"0 oracle mismatches in \d+ cases", out[1])
-    spec = importlib.util.spec_from_file_location("verdict_digest", TOOL)
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
+    tool = load_tool()
     c6, s3 = build(parse_spec("cyclic(6)")), build(parse_spec("symmetric(3)"))
     blocks = atkinson_baseline(c6)
     assert not tool.oracle_mismatch(c6, Verdict("blocks", blocks=blocks), blocks)
@@ -52,3 +57,38 @@ def test_oracle_counts_no_mismatch_and_catches_one():
     moved = BlockSystem.from_blocks(6, [[0, 1], [2, 3], [4, 5]])
     assert tool.oracle_mismatch(c6, Verdict("blocks", blocks=moved), blocks)
     assert not tool.oracle_mismatch(c6, Verdict("partial_base"), blocks)
+
+
+def test_compare_counts_the_cases_and_fields_that_moved(tmp_path):
+    saved = tmp_path / "cases.jsonl"
+    cases = run_tool("--cases")
+    saved.write_text(cases)
+    count = len(cases.splitlines())
+    assert run_tool("--compare", str(saved)) == f"0 of {count} cases differ\n"
+    # one saved case closed one candidate more, and another answered otherwise
+    lines = cases.splitlines()
+    first, second = json.loads(lines[0]), json.loads(lines[1])
+    first["diagnostics"]["candidates_closed"] += 1
+    second["kind"] = "partial_base" if second["kind"] != "partial_base" else "primitive"
+    lines[0], lines[1] = (json.dumps(r, sort_keys=True) for r in (first, second))
+    saved.write_text("\n".join(lines) + "\n")
+    assert run_tool("--compare", str(saved)).splitlines() == [
+        f"2 of {count} cases differ",
+        "diagnostics.candidates_closed: 1 (1 lower, 0 higher)",
+        "kind: 1",
+    ]
+
+
+def test_compare_reports_unmatched_cases():
+    tool = load_tool()
+    a = {"group": "g", "driver": "main", "kind": "primitive", "blocks": None,
+         "certificate": None, "diagnostics": {"sifts": 3, "h_updates": 1}}
+    b = dict(a, driver="uncapped")
+    moved = dict(a, diagnostics={"sifts": 2, "h_updates": 2})
+    old = [json.dumps(r) for r in (a, b)]
+    assert tool.compare(old, [json.dumps(moved)]) == [
+        "1 of 1 cases differ",
+        "1 cases only in the old file, 0 only in this tree",
+        "diagnostics.h_updates: 1 (0 lower, 1 higher)",
+        "diagnostics.sifts: 1 (1 lower, 0 higher)",
+    ]

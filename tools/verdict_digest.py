@@ -5,6 +5,7 @@ Run from the repository root::
     python tools/verdict_digest.py           # the digest
     python tools/verdict_digest.py --cases   # one JSON line per case instead
     python tools/verdict_digest.py --oracle  # also check against the baseline
+    python tools/verdict_digest.py --compare OLD_CASES.jsonl
 
 Each case is a group and a driver: ``primitivity_main``, ``ss_uncapped``,
 ``primitivity_subquadratic`` (the five-thirds cap law, with its own escape
@@ -20,7 +21,12 @@ run it there too. For that it needs nothing but the standard library and
 the package under ``src`` next to it, so it keeps its own copy of the
 tests' relabelling.
 
-A change that moves the digest on purpose shows with ``--oracle`` that
+A change that moves the digest on purpose shows what moved with
+``--compare``: given a ``--cases`` output saved from the older commit, it
+prints how many cases differ and, per record field (each diagnostics
+counter a field of its own), in how many, with how many went lower and
+higher where both values are numbers. Cases are matched by group and
+driver. It shows with ``--oracle`` that
 the verdicts are still right: every ``primitive`` or ``blocks`` kind is
 compared with ``atkinson_baseline`` on its group, and every block system
 is validated against the generators. The last line gives the number of
@@ -111,13 +117,58 @@ def oracle_mismatch(gens: GeneratorSet, v, baseline) -> bool:
     return False
 
 
+def fields(rec: dict) -> dict:
+    """A case record's fields, with each diagnostics counter its own field."""
+    out = {k: v for k, v in rec.items() if k != "diagnostics"}
+    out.update({f"diagnostics.{k}": v for k, v in rec["diagnostics"].items()})
+    return out
+
+
+def compare(old_lines, new_lines) -> list[str]:
+    """Report of how two ``--cases`` outputs differ: the cases that differ,
+    then per field the cases it differs in, lower and higher from old to
+    new where both values are numbers."""
+    old, new = ({(r["group"], r["driver"]): fields(r) for r in map(json.loads, lines)}
+                for lines in (old_lines, new_lines))
+    shared = [key for key in new if key in old]
+    counts: dict[str, list[int]] = {}  # field -> [cases, lower, higher]
+    differ = 0
+    for key in shared:
+        a, b = old[key], new[key]
+        moved = sorted(f for f in a.keys() | b.keys() if a.get(f) != b.get(f))
+        differ += bool(moved)
+        for f in moved:
+            c = counts.setdefault(f, [0, 0, 0])
+            c[0] += 1
+            x, y = a.get(f), b.get(f)
+            if isinstance(x, (int, float)) and isinstance(y, (int, float)):
+                c[1] += y < x
+                c[2] += y > x
+    out = [f"{differ} of {len(shared)} cases differ"]
+    if len(shared) < len(old) or len(shared) < len(new):
+        out.append(f"{len(old) - len(shared)} cases only in the old file, "
+                   f"{len(new) - len(shared)} only in this tree")
+    for f, (cases, lower, higher) in sorted(counts.items()):
+        out.append(f"{f}: {cases}" + (f" ({lower} lower, {higher} higher)" if lower + higher else ""))
+    return out
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--cases", action="store_true",
                         help="print one JSON record per case instead of the digest")
     parser.add_argument("--oracle", action="store_true",
                         help="also check every verdict against atkinson_baseline")
+    parser.add_argument("--compare", metavar="OLD_CASES.jsonl",
+                        help="compare with a saved --cases output instead")
     args = parser.parse_args()
+    if args.compare:
+        with open(args.compare) as fh:
+            old = fh.read().splitlines()
+        new = [json.dumps(record(name, driver, decide(gens)), sort_keys=True)
+               for name, gens in groups() for driver, decide in DRIVERS]
+        print("\n".join(compare(old, new)))
+        return
     digest = hashlib.sha256()
     count = mismatches = 0
     for name, gens in groups():

@@ -20,8 +20,8 @@ certificate fallback.
 from __future__ import annotations
 
 import math
-from itertools import zip_longest
 from dataclasses import asdict, dataclass, field
+from itertools import zip_longest
 from typing import Literal
 
 from .blocks import BlockSystem, InternalError, blockness_test

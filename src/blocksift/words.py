@@ -136,7 +136,9 @@ class WitnessMap:
         return Word(len(parent), rev)
 
 
-def deep_cube_orbit(xstar: Word, beta: int, search: bool = True) -> tuple[list[int], WitnessMap]:
+def deep_cube_orbit(
+    xstar: Word, beta: int, search: bool = True
+) -> tuple[list[int], WitnessMap]:
     """Image set of ``beta`` under the deep cube C(X*)^-1 C(X*).
 
     C(X)^-1 = C(X^-1) for X^-1 the reversed list of inverses, so this is

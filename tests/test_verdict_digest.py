@@ -64,7 +64,8 @@ def test_compare_counts_the_cases_and_fields_that_moved(tmp_path):
     cases = run_tool("--cases")
     saved.write_text(cases)
     count = len(cases.splitlines())
-    assert run_tool("--compare", str(saved)) == f"0 of {count} cases differ\n"
+    digest = run_tool()
+    assert run_tool("--compare", str(saved)) == digest + f"0 of {count} cases differ\n"
     # one saved case closed one candidate more, and another answered otherwise
     lines = cases.splitlines()
     first, second = json.loads(lines[0]), json.loads(lines[1])
@@ -73,6 +74,7 @@ def test_compare_counts_the_cases_and_fields_that_moved(tmp_path):
     lines[0], lines[1] = (json.dumps(r, sort_keys=True) for r in (first, second))
     saved.write_text("\n".join(lines) + "\n")
     assert run_tool("--compare", str(saved)).splitlines() == [
+        digest.rstrip("\n"),
         f"2 of {count} cases differ",
         "diagnostics.candidates_closed: 1 (1 lower, 0 higher)",
         "kind: 1",

@@ -22,12 +22,12 @@ the package under ``src`` next to it, so it keeps its own copy of the
 tests' relabelling.
 
 A change that moves the digest on purpose shows what moved with
-``--compare``: given a ``--cases`` output saved from the older commit, it
-prints how many cases differ and, per record field (each diagnostics
-counter a field of its own), in how many, with how many went lower and
-higher where both values are numbers. Cases are matched by group and
-driver. It shows with ``--oracle`` that
-the verdicts are still right: every ``primitive`` or ``blocks`` kind is
+``--compare``: given a ``--cases`` output saved at the older commit, it
+prints after the digest line how many cases differ and, per record field
+(each diagnostics counter a field of its own), in how many, with how many
+went lower and how many higher where both values are numbers. Cases are
+matched by group and driver. It shows with ``--oracle`` that the
+verdicts are still right: every ``primitive`` or ``blocks`` kind is
 compared with ``atkinson_baseline`` on its group, and every block system
 is validated against the generators. The last line gives the number of
 mismatches, and the exit status is 1 if there is any. Escape and
@@ -135,7 +135,7 @@ def compare(old_lines, new_lines) -> list[str]:
     differ = 0
     for key in shared:
         a, b = old[key], new[key]
-        moved = sorted(f for f in a.keys() | b.keys() if a.get(f) != b.get(f))
+        moved = [f for f in a.keys() | b.keys() if a.get(f) != b.get(f)]
         differ += bool(moved)
         for f in moved:
             c = counts.setdefault(f, [0, 0, 0])
@@ -149,7 +149,8 @@ def compare(old_lines, new_lines) -> list[str]:
         out.append(f"{len(old) - len(shared)} cases only in the old file, "
                    f"{len(new) - len(shared)} only in this tree")
     for f, (cases, lower, higher) in sorted(counts.items()):
-        out.append(f"{f}: {cases}" + (f" ({lower} lower, {higher} higher)" if lower + higher else ""))
+        moves = f" ({lower} lower, {higher} higher)" if lower + higher else ""
+        out.append(f"{f}: {cases}{moves}")
     return out
 
 
@@ -160,17 +161,12 @@ def main() -> None:
     parser.add_argument("--oracle", action="store_true",
                         help="also check every verdict against atkinson_baseline")
     parser.add_argument("--compare", metavar="OLD_CASES.jsonl",
-                        help="compare with a saved --cases output instead")
+                        help="also count the cases and fields that differ "
+                             "from a saved --cases output")
     args = parser.parse_args()
-    if args.compare:
-        with open(args.compare) as fh:
-            old = fh.read().splitlines()
-        new = [json.dumps(record(name, driver, decide(gens)), sort_keys=True)
-               for name, gens in groups() for driver, decide in DRIVERS]
-        print("\n".join(compare(old, new)))
-        return
     digest = hashlib.sha256()
     count = mismatches = 0
+    lines = []
     for name, gens in groups():
         baseline = atkinson_baseline(gens) if args.oracle else None
         for driver, decide in DRIVERS:
@@ -179,12 +175,16 @@ def main() -> None:
             if args.cases:
                 print(line)
             digest.update(line.encode() + b"\n")
+            lines.append(line)
             count += 1
             if args.oracle and oracle_mismatch(gens, v, baseline):
                 mismatches += 1
                 print(f"oracle mismatch: {name} {driver} {v.kind}", file=sys.stderr)
     if not args.cases:
         print(f"{digest.hexdigest()}  ({count} cases)")
+    if args.compare:
+        with open(args.compare) as fh:
+            print("\n".join(compare(fh.read().splitlines(), lines)))
     if args.oracle:
         print(f"{mismatches} oracle mismatches in {count} cases")
         sys.exit(1 if mismatches else 0)

@@ -509,8 +509,7 @@ def test_primitive_counters_pinned(full_corpus):
     # primitive verdict keeps the sifts, H-updates and scan counts of the
     # driver without them. The digest was recorded from that driver, over
     # the corpus and one relabelled copy of each group with two extra
-    # generators, once the scan stopped re-closing candidates that passed
-    # n/p in an earlier round (6 rows closed fewer; no other count moved).
+    # generators.
     rows = []
     for entry in full_corpus:
         for copy in range(2):

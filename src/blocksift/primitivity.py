@@ -136,6 +136,14 @@ def ss_primitivity(gens: GeneratorSet, cap: int) -> Verdict:
       at most n/p points, so its n / |delta| >= p translates per generator
       make at least p |S| > |Delta_1| checks, past the budget.
 
+    A failed test on delta = alpha^K, K = <H, r_lam>, gives a witness g1
+    mapping beta to gamma, both in delta, and the H-update sifts
+    g = s g1 t^-1, s and t words of K mapping alpha to beta and gamma.
+    The scoped transversal stops once it holds those two words, since any
+    such s and t will do: they lie in K, and g1 does not, because delta
+    is K-invariant and delta^g1 != delta. So g fixes alpha and lies
+    outside K, which contains H, and sifting it enlarges H.
+
     Each failed test grows H and starts a new scan round. Two facts carry
     a round's work into the next, and neither changes a verdict, a block
     system, a certificate or an H-update:
@@ -250,7 +258,7 @@ def ss_primitivity(gens: GeneratorSet, cap: int) -> Verdict:
             if res.kind == "is_block":
                 return _finish(Verdict("blocks", blocks=res.system), diag, state)
             wit = res.witness
-            scoped = build_scoped_transversal(state, r)
+            scoped = build_scoped_transversal(state, r, (wit.beta, wit.gamma))
             if scoped is None:
                 break
             # s g1 t^-1, s and t mapping alpha to beta and gamma: one product

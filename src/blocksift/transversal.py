@@ -3,11 +3,13 @@
 ``build_point_transversal`` computes coset-representative words for the
 point stabilizer of alpha (one word per orbit point), or stops with a
 certified partial base of size L+1 when the base-size cap is exceeded.
-``build_scoped_transversal`` does the same for the subgroup generated by
+``build_scoped_transversal`` builds words for the subgroup K generated by
 one evaluated transversal element r together with the elements of the
 levels below the first, on the live state with its first level swapped
-for one seeded by r; the caller evaluates r's word once and closes its
-candidate with the same permutation. The letters of every r-word are
+for one seeded by r; it stops once its map holds the target points it is
+given, so it returns words for those, not the whole K-transversal. The
+caller evaluates r's word once and closes its candidate with the same
+permutation. The letters of every r-word are
 level elements of the state (or the inverses they cache), so a word
 holds no copy of any element.
 """
@@ -25,14 +27,17 @@ def _close_transversal(
     state: SiftState,
     gens: list[Permutation],
     on_sift: Callable[[SiftState, SiftOutcome], object] | None = None,
+    targets: tuple[int, ...] | None = None,
 ) -> WitnessMap | None:
     """Shared queue loop: close the level-1 deep orbit under ``gens``.
 
     Each (orbit point, generator) pair is visited exactly once, in the
     order the points entered the orbit and then generator order, so the
     queue is the list of points in entry order. Returns the r-words on
-    closure, or None the moment the state passes its cap or ``on_sift``,
-    called after every sift, returns a truthy value.
+    closure, or, given ``targets``, before the first sift that would run
+    once the map holds every target. Returns None the moment the state
+    passes its cap or ``on_sift``, called after every sift, returns a
+    truthy value.
     """
     arrays = [g.images for g in gens]
     _, rmap = state.level_deep_orbit(1)
@@ -42,6 +47,8 @@ def _close_transversal(
         for si, arr in enumerate(arrays):
             if held[arr[lam]] >= 0:
                 continue
+            if targets is not None and all(held[t] >= 0 for t in targets):
+                return rmap
             elem = Word(state.n, rmap.word(lam).letters + (gens[si],)).eval()
             outcome = state.deep_sift(elem)
             if (on_sift is not None and on_sift(state, outcome)) or state.capped:
@@ -74,8 +81,12 @@ def build_point_transversal(
     return state, _close_transversal(state, gens.generators, on_sift)
 
 
-def build_scoped_transversal(state: SiftState, r: Permutation) -> WitnessMap | None:
-    """Transversal for K : K_alpha where K = <X_2* elements, r>.
+def build_scoped_transversal(
+    state: SiftState, r: Permutation, targets: tuple[int, ...] | None = None
+) -> WitnessMap | None:
+    """Words of K = <X_2* elements, r> taking alpha to each of ``targets``,
+    points of alpha^K: the map stops growing once it holds them all, and
+    is a transversal for K : K_alpha only when ``targets`` is None.
 
     Alpha is the first base point of ``state`` and ``r`` must move it.
     Runs on ``state`` itself with its first level swapped for one seeded
@@ -93,6 +104,6 @@ def build_scoped_transversal(state: SiftState, r: Permutation) -> WitnessMap | N
     kgens = [r] + state.deep_element_perms()
     state.levels[0] = Level(alpha, r)
     try:
-        return _close_transversal(state, kgens)
+        return _close_transversal(state, kgens, targets=targets)
     finally:
         state.levels[0] = first

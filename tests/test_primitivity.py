@@ -21,7 +21,7 @@ from blocksift.primitivity import (
     ss_primitivity,
     ss_uncapped,
 )
-from blocksift.sift import Certificate
+from blocksift.sift import Certificate, SiftState
 from blocksift.transversal import build_point_transversal, build_scoped_transversal
 from blocksift.words import Word
 from conftest import perm, reference_orbit, relabel
@@ -203,14 +203,14 @@ class TestPartialBaseExit:
                 (4, 0, 1, 1, 0, 0, 5, []), id="subsets(6,2)-h_update",
             ),
             pytest.param(
-                lambda: relabel(build(parse_spec("subsets(9,3)")), random.Random(3)),
-                2, "scoped", [0, 1, 2],
-                (7, 0, 2, 1, 4, 0, 8, []), id="subsets(9,3)-3-scoped",
+                lambda: relabel(build(parse_spec("subsets(9,3)")), random.Random(59)),
+                2, "scoped", [0, 1, 4],
+                (6, 0, 5, 1, 4, 0, 7, []), id="subsets(9,3)-59-scoped",
             ),
             pytest.param(
-                lambda: relabel(build(parse_spec("subsets(12,2)")), random.Random(9)),
-                3, "scoped", [0, 2, 9, 15],
-                (9, 1, 3, 2, 4, 0, 8, [[2, 3]]), id="subsets(12,2)-9-scoped",
+                lambda: relabel(build(parse_spec("subsets(12,2)")), random.Random(13)),
+                3, "scoped", [0, 4, 6, 1],
+                (8, 0, 3, 1, 4, 0, 8, []), id="subsets(12,2)-13-scoped",
             ),
         ],
     )
@@ -483,9 +483,9 @@ def test_candidates_close_over_evaluated_r(monkeypatch, spec):
         closed.append(r)
         return orbit(r, start, limit, cells)
 
-    def recording_scoped(state, r):
+    def recording_scoped(state, r, targets):
         scoped.append((r, closed[-1]))
-        return build_scoped_transversal(state, r)
+        return build_scoped_transversal(state, r, targets)
 
     monkeypatch.setattr(Word, "apply", counting_apply)
     monkeypatch.setattr(primitivity, "orbit", recording_orbit)
@@ -502,6 +502,67 @@ def test_candidates_close_over_evaluated_r(monkeypatch, spec):
         assert type(r) is Permutation and r is last_closed
     if spec == "subsets(6,2)":
         assert scoped  # failed blockness tests reach the scoped transversal
+
+
+def test_scoped_transversal_stops_at_the_witness_points(monkeypatch, full_corpus):
+    # An H-update g = s g1 t^-1 reads two words of the scoped map, s and t,
+    # taking alpha to the witness points beta and gamma, so the scoped build
+    # stops once its map holds both. s and t lie in K = <H, r>, and g1 does
+    # not, since it moves the K-invariant candidate alpha^K; so g lies
+    # outside K and H, and each H-update still grows the deep levels.
+    live = []  # per running scoped call: [targets, current map, first level]
+    stats = {"calls": 0, "stopped": 0}
+    real_orbit, real_sift = SiftState.level_deep_orbit, SiftState.deep_sift
+
+    def recording_orbit(self, i):
+        points, rmap = real_orbit(self, i)
+        if live and i == 1:
+            live[-1][1:] = [rmap, self.levels[0]]
+        return points, rmap
+
+    def checked_sift(self, g):
+        if live:
+            targets, rmap, _ = live[-1]
+            assert not all(t in rmap for t in targets), "a sift ran after the targets were held"
+        return real_sift(self, g)
+
+    def recording_scoped(state, r, targets):
+        alpha = state.levels[0].beta
+        live.append([targets, None, None])
+        try:
+            scoped = build_scoped_transversal(state, r, targets)
+        finally:
+            _, _, swapped = live.pop()
+        if scoped is None:
+            return None
+        stats["calls"] += 1
+        korbit = reference_orbit([r] + state.deep_element_perms(), alpha)
+        stats["stopped"] += len(scoped.points) < len(korbit)
+        # letters: r and what the swapped-in first level appended, the
+        # elements of the levels below the first, and the inverses they cache
+        assert swapped.elems[0] is r
+        elems = swapped.elems + state.deep_element_perms()
+        assert all(p in scoped for p in targets)
+        for p in targets:
+            word = scoped.word(p)
+            assert word.eval().images[alpha] == p
+            assert all(any(x is e or x is e._inv for e in elems) for x in word.letters)
+        return scoped
+
+    monkeypatch.setattr(SiftState, "level_deep_orbit", recording_orbit)
+    monkeypatch.setattr(SiftState, "deep_sift", checked_sift)
+    monkeypatch.setattr(primitivity, "build_scoped_transversal", recording_scoped)
+    for entry in full_corpus:
+        for extra in (None, 0, 2):
+            gens = entry.gens if extra is None else relabel(
+                entry.gens, random.Random(f"{entry.name}/{extra}"), extra
+            )
+            for driver in DRIVERS:
+                d = driver(gens).diagnostics
+                assert len(d.h_update_growth) == d.h_updates
+                assert all(after > before for before, after in d.h_update_growth)
+    # the stop is reached before the whole K-orbit in some calls
+    assert stats["calls"] and stats["stopped"], stats
 
 
 def test_primitive_counters_pinned(full_corpus):

@@ -70,7 +70,8 @@ def test_compare_counts_the_cases_and_fields_that_moved(tmp_path):
     lines = cases.splitlines()
     first, second = json.loads(lines[0]), json.loads(lines[1])
     first["diagnostics"]["candidates_closed"] += 1
-    second["kind"] = "partial_base" if second["kind"] != "partial_base" else "primitive"
+    kind = second["kind"]
+    second["kind"] = "partial_base" if kind != "partial_base" else "primitive"
     lines[0], lines[1] = (json.dumps(r, sort_keys=True) for r in (first, second))
     saved.write_text("\n".join(lines) + "\n")
     assert run_tool("--compare", str(saved)).splitlines() == [
@@ -78,6 +79,8 @@ def test_compare_counts_the_cases_and_fields_that_moved(tmp_path):
         f"2 of {count} cases differ",
         "diagnostics.candidates_closed: 1 (1 lower, 0 higher)",
         "kind: 1",
+        # the case whose kind moved, by group and driver, saved kind first
+        f"  {second['group']} {second['driver']}: {second['kind']} -> {kind}",
     ]
 
 
@@ -93,4 +96,19 @@ def test_compare_reports_unmatched_cases():
         "1 cases only in the old file, 0 only in this tree",
         "diagnostics.h_updates: 1 (0 lower, 1 higher)",
         "diagnostics.sifts: 1 (1 lower, 0 higher)",
+    ]
+
+
+def test_compare_names_each_case_whose_kind_moved():
+    tool = load_tool()
+    a = {"group": "g", "driver": "main", "kind": "partial_base", "blocks": None,
+         "certificate": None, "diagnostics": {"sifts": 3}}
+    b = dict(a, driver="cap3", kind="primitive")
+    old = [json.dumps(r) for r in (a, b)]
+    new = [json.dumps(dict(a, kind="primitive")), json.dumps(dict(b, kind="blocks"))]
+    assert tool.compare(old, new) == [
+        "2 of 2 cases differ",
+        "kind: 2",
+        "  g main: partial_base -> primitive",
+        "  g cap3: primitive -> blocks",
     ]

@@ -25,13 +25,15 @@ A change that moves the digest on purpose shows what moved with
 ``--compare``: given a ``--cases`` output saved at the older commit, it
 prints after the digest line how many cases differ and, per record field
 (each diagnostics counter a field of its own), in how many, with how many
-went lower and how many higher where both values are numbers. Cases are
-matched by group and driver. It shows with ``--oracle`` that the
-verdicts are still right: every ``primitive`` or ``blocks`` kind is
-compared with ``atkinson_baseline`` on its group, and every block system
-is validated against the generators. The last line gives the number of
-mismatches, and the exit status is 1 if there is any. Escape and
-partial-base kinds claim no answer, so the baseline cannot judge them.
+went lower and how many higher where both values are numbers, and then
+one line per case whose verdict kind moved: its group, its driver and
+the old and new kind. Cases are matched by group and driver. It shows
+with ``--oracle`` that the verdicts are still right: every ``primitive``
+or ``blocks`` kind is compared with ``atkinson_baseline`` on its group,
+and every block system is validated against the generators. The last
+line gives the number of mismatches, and the exit status is 1 if there
+is any. Escape and partial-base kinds claim no answer, so the baseline
+cannot judge them.
 """
 
 from __future__ import annotations
@@ -127,16 +129,19 @@ def fields(rec: dict) -> dict:
 def compare(old_lines, new_lines) -> list[str]:
     """Report of how two ``--cases`` outputs differ: the cases that differ,
     then per field the cases it differs in, lower and higher from old to
-    new where both values are numbers."""
+    new where both values are numbers, then each case whose kind moved."""
     old, new = ({(r["group"], r["driver"]): fields(r) for r in map(json.loads, lines)}
                 for lines in (old_lines, new_lines))
     shared = [key for key in new if key in old]
     counts: dict[str, list[int]] = {}  # field -> [cases, lower, higher]
     differ = 0
+    kinds = []  # one line per case whose kind moved
     for key in shared:
         a, b = old[key], new[key]
         moved = [f for f in a.keys() | b.keys() if a.get(f) != b.get(f)]
         differ += bool(moved)
+        if a["kind"] != b["kind"]:
+            kinds.append(f"  {key[0]} {key[1]}: {a['kind']} -> {b['kind']}")
         for f in moved:
             c = counts.setdefault(f, [0, 0, 0])
             c[0] += 1
@@ -151,7 +156,7 @@ def compare(old_lines, new_lines) -> list[str]:
     for f, (cases, lower, higher) in sorted(counts.items()):
         moves = f" ({lower} lower, {higher} higher)" if lower + higher else ""
         out.append(f"{f}: {cases}{moves}")
-    return out
+    return out + kinds
 
 
 def main() -> None:

@@ -34,21 +34,21 @@ def _close_transversal(
     Each (orbit point, generator) pair is visited exactly once, in the
     order the points entered the orbit and then generator order, so the
     queue is the list of points in entry order. Returns the r-words on
-    closure, or, given ``targets``, before the first sift that would run
-    once the map holds every target. Returns None the moment the state
-    passes its cap or ``on_sift``, called after every sift, returns a
-    truthy value.
+    closure, or, given ``targets``, as soon as the map holds every target:
+    the held points change only when the deep orbit is (re)built, so they
+    are checked then. Returns None the moment the state passes its cap or
+    ``on_sift``, called after every sift, returns a truthy value.
     """
     arrays = [g.images for g in gens]
     _, rmap = state.level_deep_orbit(1)
     held = rmap.parent
+    if targets is not None and all(held[t] >= 0 for t in targets):
+        return rmap
     queue = list(rmap.points)
     for lam in queue:  # grows while it is walked
         for si, arr in enumerate(arrays):
             if held[arr[lam]] >= 0:
                 continue
-            if targets is not None and all(held[t] >= 0 for t in targets):
-                return rmap
             elem = Word(state.n, rmap.word(lam).letters + (gens[si],)).eval()
             outcome = state.deep_sift(elem)
             if (on_sift is not None and on_sift(state, outcome)) or state.capped:
@@ -58,6 +58,8 @@ def _close_transversal(
             old_held = held
             _, rmap = state.level_deep_orbit(1)
             held = rmap.parent
+            if targets is not None and all(held[t] >= 0 for t in targets):
+                return rmap
             queue += [p for p in rmap.points if old_held[p] < 0]
     return rmap
 
@@ -82,11 +84,11 @@ def build_point_transversal(
 
 
 def build_scoped_transversal(
-    state: SiftState, r: Permutation, targets: tuple[int, ...] | None = None
+    state: SiftState, r: Permutation, targets: tuple[int, ...]
 ) -> WitnessMap | None:
     """Words of K = <X_2* elements, r> taking alpha to each of ``targets``,
-    points of alpha^K: the map stops growing once it holds them all, and
-    is a transversal for K : K_alpha only when ``targets`` is None.
+    points of alpha^K: the map stops growing once it holds them all, so it
+    is a transversal for K : K_alpha only if that closes alpha^K.
 
     Alpha is the first base point of ``state`` and ``r`` must move it.
     Runs on ``state`` itself with its first level swapped for one seeded

@@ -188,8 +188,10 @@ def _route_and_verdict(monkeypatch, gens, cap):
 class TestPartialBaseExit:
     # Every capped route leaves the loop for the one partial-base exit. The
     # relabelling seeds are the first in 0..399 under which a scoped
-    # transversal passes the cap. The expected diagnostics were recorded
-    # from the driver that returned from each route separately.
+    # transversal passes the cap, and for subsets(12,2) also the first under
+    # which it does so after an H-update, with merged H-orbit cells. The
+    # expected diagnostics were recorded from the driver that returned from
+    # each route separately.
 
     @pytest.mark.parametrize(
         "make,cap,route,base,diag",
@@ -211,6 +213,11 @@ class TestPartialBaseExit:
                 lambda: relabel(build(parse_spec("subsets(12,2)")), random.Random(13)),
                 3, "scoped", [0, 4, 6, 1],
                 (8, 0, 3, 1, 4, 0, 8, []), id="subsets(12,2)-13-scoped",
+            ),
+            pytest.param(
+                lambda: relabel(build(parse_spec("subsets(12,2)")), random.Random(25)),
+                3, "scoped", [0, 1, 2, 5],
+                (7, 1, 16, 2, 4, 0, 8, [[2, 3]]), id="subsets(12,2)-25-scoped-after-h_update",
             ),
         ],
     )

@@ -97,14 +97,14 @@ class TestBuildScopedTransversal:
     def test_single_cycle_closure(self):
         state = self._seeded_state(4, perm(4, (0, 1, 2, 3)))
         pts, rmap = state.level_deep_orbit(1)
-        scoped = build_scoped_transversal(state, rmap.word(1).eval())
+        scoped = build_scoped_transversal(state, rmap.word(1).eval(), (1, 2, 3))
         assert scoped is not None
         assert set(scoped.points) == {0, 1, 2, 3}
 
     def test_involution_orbit(self):
         state = self._seeded_state(4, perm(4, (0, 1)))
         _, rmap = state.level_deep_orbit(1)
-        scoped = build_scoped_transversal(state, rmap.word(1).eval())
+        scoped = build_scoped_transversal(state, rmap.word(1).eval(), (1,))
         assert set(scoped.points) == {0, 1}
 
     def test_cap_already_reached(self):
@@ -113,7 +113,7 @@ class TestBuildScopedTransversal:
         assert state.capped
         _, rmap = state.level_deep_orbit(1)
         levels, sum_xi = state.debug_dump()["levels"], state.sum_xi()
-        assert build_scoped_transversal(state, rmap.word(1).eval()) is None
+        assert build_scoped_transversal(state, rmap.word(1).eval(), (1,)) is None
         # the cap is checked before the first level is swapped
         assert state.debug_dump()["levels"] == levels and state.sum_xi() == sum_xi
         assert len(state.certificate()) == 2
@@ -122,7 +122,7 @@ class TestBuildScopedTransversal:
         gens = GeneratorSet(4, [perm(4, (0, 1, 2, 3)), perm(4, (1, 3))])
         state, rmap = build_point_transversal(gens, 0, 4)
         first, x1_before = state.levels[0], list(state.levels[0].elems)
-        scoped = build_scoped_transversal(state, rmap.word(2).eval())
+        scoped = build_scoped_transversal(state, rmap.word(2).eval(), (2,))
         assert scoped is not None
         # the swapped-in first level is discarded and the live one restored
         assert state.levels[0] is first and first.elems == x1_before
@@ -133,9 +133,9 @@ class TestBuildScopedTransversal:
     def test_fixed_rword_rejected(self):
         state = self._seeded_state(4, perm(4, (0, 1, 2, 3)))
         with pytest.raises(ValueError):
-            build_scoped_transversal(state, Permutation.identity(4))
+            build_scoped_transversal(state, Permutation.identity(4), (1,))
         with pytest.raises(ValueError):  # r must act on the state's points
-            build_scoped_transversal(state, perm(5, (0, 1)))
+            build_scoped_transversal(state, perm(5, (0, 1)), (1,))
 
 
 KNOWN_ORDER_GROUPS = [

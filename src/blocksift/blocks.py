@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Literal
 
-from .perm import GeneratorSet, Permutation, is_transitive
+from .perm import GeneratorSet, Permutation, is_transitive, point_table
 from .words import Word
 
 
@@ -246,7 +246,7 @@ def blockness_test(gens: GeneratorSet, delta: Iterable[int], alpha: int) -> Bloc
         raise ValueError("blockness_test requires a transitive group: the translates miss a point")
     # points ascend, so each cell comes out sorted
     cells: list[list[int]] = [[] for _ in blocks]
-    for p, bid in enumerate(block_of):
+    for p, bid in zip(point_table(n), block_of):
         cells[bid].append(p)
     # with the count above, this is every property BlockSystem checks
     if block_of.count(-1) or any(len(cell) != size for cell in cells):

@@ -10,7 +10,7 @@ import json
 import re
 import sys
 
-from .perm import GeneratorSet, Permutation
+from .perm import GeneratorSet, Permutation, point_table
 
 _MAX_DIGITS = len(str(sys.maxsize))
 _COMMENT = re.compile(r"#[^\n]*")
@@ -104,7 +104,7 @@ def _parse_cycles(text: str, transitive: bool) -> GeneratorSet:
         raise ValueError(f"point {fixed} is fixed by every generator, so the group is intransitive")
     gens = []
     for cycles in raw_gens:
-        images = list(range(degree))
+        images = point_table(degree)[:degree]
         for cyc in cycles:
             for a, b in zip(cyc, cyc[1:] + cyc[:1]):
                 images[a] = b

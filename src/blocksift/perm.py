@@ -3,6 +3,12 @@
 Composition convention (fixed project-wide): ``g * h`` acts as "first g,
 then h", i.e. ``(g * h).apply(p) == h.apply(g.apply(p))``. All modules
 rely on this right-action order.
+
+Image values are the ints of one shared table (:func:`point_table`), not
+an int object per image: ``Permutation(...)`` stores the table's ints,
+and products and inverses take theirs from image tuples or the table. So
+an image tuple costs 8 bytes per point per permutation. The table lives
+for the process: about 36 bytes × (up to 2 × the largest degree seen).
 """
 
 from __future__ import annotations
@@ -11,6 +17,22 @@ from dataclasses import dataclass
 from itertools import compress
 from operator import itemgetter
 from typing import Iterable, Sequence
+
+# the ints 0..len - 1; rebound to a longer copy, never changed in place
+_points: list[int] = []
+
+
+def point_table(n: int) -> list[int]:
+    """The shared ints 0..N-1, N >= n. A growth doubles the table into a
+    fresh list that keeps the old ints, so a list once returned never
+    changes: a thread racing a growth sees a shorter or another table,
+    never a misaligned one, and two racing growths only leave some ints
+    unshared."""
+    global _points
+    table = _points
+    if len(table) < n:
+        table = _points = table + list(range(len(table), max(n, 2 * len(table))))
+    return table
 
 
 class Permutation:
@@ -23,12 +45,13 @@ class Permutation:
         n = len(images)
         if n < 1:
             raise ValueError("degree must be at least 1")
-        seen = bytearray(n)
-        for v in images:
-            if not 0 <= v < n or seen[v]:
-                raise ValueError(f"not a permutation of 0..{n - 1}: {images!r}")
-            seen[v] = 1
-        self.images = images
+        if not 0 <= min(images) or not max(images) < n:
+            raise ValueError(f"not a permutation of 0..{n - 1}: {images!r}")
+        # a non-int image raises TypeError here, before the duplicate check
+        points = product_images(images, point_table(n))
+        if len(set(points)) != n:
+            raise ValueError(f"not a permutation of 0..{n - 1}: {images!r}")
+        self.images = points
         self._inv: Permutation | None = None
 
     @classmethod
@@ -37,7 +60,9 @@ class Permutation:
 
         For internal products only: a product or inverse of validated
         permutations is a permutation, so it skips the O(n) check that
-        ``Permutation(...)`` runs on outside input.
+        ``Permutation(...)`` runs on outside input. Callers pass image
+        tuples of :func:`point_table` ints, as products and inverses of
+        validated permutations are.
         """
         g = object.__new__(cls)
         g.images = images
@@ -55,8 +80,9 @@ class Permutation:
 
     def inverse(self) -> "Permutation":
         if self._inv is None:
-            inv = [0] * len(self.images)
-            for p, v in enumerate(self.images):
+            n = len(self.images)
+            inv = [0] * n
+            for p, v in zip(point_table(n), self.images):
                 inv[v] = p
             self._inv = Permutation.unchecked(tuple(inv))
             self._inv._inv = self

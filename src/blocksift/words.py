@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .perm import Permutation, product_images
+from .perm import Permutation, point_table, product_images
 
 
 class Word:
@@ -42,7 +42,7 @@ class Word:
     def eval(self) -> Permutation:
         """Materialize the product as an explicit permutation."""
         if not self.letters:
-            return Permutation.unchecked(tuple(range(self.degree)))
+            return Permutation.unchecked(tuple(point_table(self.degree)[:self.degree]))
         cur = self.letters[0].images
         for g in self.letters[1:]:
             cur = product_images(cur, g.images)

@@ -1,17 +1,26 @@
 import random
+import sys
+import threading
+import time
 
 import pytest
 from hypothesis import given, strategies as st
 
+from blocksift import perm as perm_module, primitivity
+from blocksift.blocks import blockness_test
+from blocksift.corpus import build, parse_spec
+from blocksift.ioformats import emit_generators, parse_generators
 from blocksift.perm import (
     GeneratorSet,
     Orbits,
     Permutation,
     is_transitive,
     orbit,
+    point_table,
 )
+from blocksift.sift import SiftState
 from blocksift.words import Word
-from conftest import perm, reference_orbit
+from conftest import perm, reference_orbit, relabel
 
 
 def random_perms(max_degree=8):
@@ -384,6 +393,134 @@ class TestValidation:
         # True == 1, so it would pass as degree 1 and be decided
         with pytest.raises(ValueError, match="degree must be an int"):
             GeneratorSet(True, [Permutation([0])])
+
+
+def assert_table_ints(perms):
+    # CPython caches the ints up to 256, so only degrees past 257 make an
+    # identity check on every image mean something
+    for g in perms:
+        assert g.degree > 257
+        table = point_table(g.degree)
+        assert all(v is table[v] for v in g.images)
+
+
+class TestPointTable:
+    def test_growth_keeps_returned_tables_and_their_ints(self):
+        old = point_table(300)
+        size = len(old)
+        new = point_table(size + 1)
+        assert len(old) == size and new[:size] == old
+        assert all(a is b for a, b in zip(old, new))
+        assert new == list(range(len(new)))
+
+    @pytest.mark.parametrize("fmt", ["json", "cycles"])
+    def test_parsed_images_products_and_inverses_are_table_ints(self, fmt):
+        gens = relabel(build(parse_spec("dihedral(1024)")), random.Random(5))
+        parsed = parse_generators(emit_generators(gens, fmt)).generators
+        assert parsed == gens.generators
+        g, h = parsed
+        assert_table_ints(parsed + [g * h, g.inverse(), (g * h).inverse()])
+
+    def test_block_cells_are_table_ints(self):
+        gens = build(parse_spec("dihedral(1024)"))
+        system = blockness_test(gens, [0, 512], 0).system
+        table = point_table(1024)
+        assert len(system.blocks) == 512
+        assert all(p is table[p] for cell in system.blocks for p in cell)
+
+    @pytest.mark.parametrize("spec, h_updates", [("dihedral(1024)", 0), ("subsets(30,2)", 1)])
+    def test_a_decision_stores_only_table_ints(self, monkeypatch, spec, h_updates):
+        # the sift levels, the r-words and every sifted element, H-updates
+        # included, that primitivity_main leaves on a relabelled group
+        built, sifted = [], []
+        real_build, real_sift = primitivity.build_point_transversal, SiftState.deep_sift
+
+        def recording_build(*args):
+            built.append(real_build(*args))
+            return built[-1]
+
+        def recording_sift(self, g):
+            sifted.append(g)
+            return real_sift(self, g)
+
+        monkeypatch.setattr(primitivity, "build_point_transversal", recording_build)
+        monkeypatch.setattr(SiftState, "deep_sift", recording_sift)
+        gens = relabel(build(parse_spec(spec)), random.Random(0))
+        verdict = primitivity.primitivity_main(gens)
+        assert verdict.diagnostics.h_updates == h_updates
+        [(state, rmap)] = built
+        elems = [x for lv in state.levels for x in lv.elems]
+        # a block found by a build-time try ends the build with no map
+        assert (rmap is None) == (verdict.kind == "blocks")
+        letters = [x for p in rmap.points for x in rmap.word(p).letters] if rmap else []
+        assert len(sifted) > h_updates
+        assert_table_ints(elems + [x._inv for x in elems if x._inv] + letters + sifted)
+        table = point_table(gens.degree)
+        cells = verdict.blocks.blocks if verdict.blocks else []
+        assert all(p is table[p] for cell in cells for p in cell)
+
+    @pytest.mark.parametrize(
+        "images, error, message",
+        [
+            ([], ValueError, "degree must be at least 1"),
+            ([0, -1], ValueError, "not a permutation of 0..1: (0, -1)"),
+            ([0, 2], ValueError, "not a permutation of 0..1: (0, 2)"),
+            ([1, 1], ValueError, "not a permutation of 0..1: (1, 1)"),
+            # the container the index hit ("bytearray", now "list") is no
+            # part of what the message says
+            ([1.0, 0], TypeError, "indices must be integers or slices, not float"),
+            ([0, 0.0], TypeError, "indices must be integers or slices, not float"),
+            (["1", "0"], TypeError, "'<=' not supported between instances of 'int' and 'str'"),
+            (None, TypeError, "'NoneType' object is not iterable"),
+        ],
+    )
+    def test_malformed_images_raise_as_before(self, images, error, message):
+        with pytest.raises(error) as info:
+            Permutation(images)
+        assert type(info.value) is error and message in str(info.value)
+
+    def test_bool_images_become_ints(self):
+        images = Permutation([True, False]).images
+        assert images == (1, 0) and all(type(v) is int for v in images)
+
+    def test_table_growth_races_across_threads(self, monkeypatch):
+        # four threads start from an empty table at once, each building one
+        # permutation per degree 1..3000 in its own order, with thread
+        # switches forced every microsecond, while this thread keeps
+        # dropping the table so that growths keep racing: a growth that
+        # another thread's growth could misalign would store a wrong image
+        monkeypatch.setattr(perm_module, "_points", [])
+        start = threading.Barrier(4)
+        wrong = []
+
+        def build_all(seed):
+            degrees = list(range(1, 3001))
+            random.Random(seed).shuffle(degrees)
+            start.wait(timeout=30)
+            for n in degrees:
+                images = list(range(1, n)) + [0]
+                try:
+                    if Permutation(images).images != tuple(images):
+                        wrong.append(n)
+                except ValueError:  # a misaligned table gathers a duplicate
+                    wrong.append(n)
+
+        threads = [threading.Thread(target=build_all, args=(seed,)) for seed in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            deadline = time.monotonic() + 60
+            while any(t.is_alive() for t in threads) and time.monotonic() < deadline:
+                perm_module._points = []
+                time.sleep(0.001)
+            for t in threads:
+                t.join(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not wrong
 
 
 @given(shared_degree_perms(2), st.integers(0, 5))

@@ -6,9 +6,10 @@ generators of a group spec such as ``wreath(alternating(8),2)``), and
 ``bench``. Generator input comes from ``--in FILE`` or stdin, in either
 serialization format; results are JSON on stdout. Exit status is 0 for
 any verdict, 2 for input errors (an unparsable or intransitive group, a
-cap below 1), and 3 for an internal fault: a failed invariant of the
-library, reported as ``error: internal: ...`` without a traceback. Input
-errors are ``ValueError``s, reported in one place, ``cli_main``.
+cap below 1, a group too large to build in memory), and 3 for an internal
+fault: a failed invariant of the library, reported as ``error: internal:
+...`` without a traceback. Input errors are ``ValueError``s and
+``MemoryError``s, reported in one place, ``cli_main``.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .primitivity import (
     ss_uncapped,
 )
 from .sift import check_cap
+from .transversal import build_point_transversal
 
 
 def _read_gens(args) -> GeneratorSet:
@@ -106,9 +108,15 @@ def _cmd_minblock(args) -> int:
     return 0
 
 
-def _cmd_sift_trace(args) -> int:
-    from .transversal import build_point_transversal
+def _level_summary(levels) -> dict:
+    """Each level's base point and the size of its Delta, in level order."""
+    return {
+        "base": [lv.beta for lv in levels],
+        "delta_sizes": [len(lv.points) for lv in levels],
+    }
 
+
+def _cmd_sift_trace(args) -> int:
     gens = _read_gens(args)
     cap = args.cap if args.cap is not None else gens.degree
     check_cap(cap)
@@ -116,24 +124,27 @@ def _cmd_sift_trace(args) -> int:
         raise ValueError("sift-trace requires a transitive group")
     if gens.degree == 1:
         # primitive, as in the drivers: the orbit is {0} and nothing is sifted
-        final = {"degree": 1, "cap": cap, "levels": [], "sifts": 0}
+        final = {"cap": cap, "sifts": 0, **_level_summary([])}
         print(json.dumps({"result": "transversal", "orbit": [0], "trace": [], "final": final}))
         return 0
     trace: list[dict] = []
 
     def on_sift(state, outcome):
-        snap = state.debug_dump()
-        snap["outcome"] = outcome.kind
-        trace.append(snap)
+        # the level a sift changed is the one whose Delta grew or opened
+        trace.append(
+            {"outcome": outcome.kind, "strip_steps": len(outcome.chain),
+             **_level_summary(state.levels)}
+        )
 
     state, rmap = build_point_transversal(gens, 0, cap, on_sift=on_sift)
+    final = {"cap": cap, "sifts": state.sift_count, **_level_summary(state.levels)}
     print(
         json.dumps(
             {
                 "result": "partial_base" if rmap is None else "transversal",
                 "orbit": None if rmap is None else rmap.points,
                 "trace": trace,
-                "final": state.debug_dump(),
+                "final": final,
             }
         )
     )
@@ -201,7 +212,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", required=True, metavar="P,Q,...",
                    help="comma-separated 0-based seed points")
 
-    p = sub.add_parser("sift-trace", help="dump the sifting structure's evolution")
+    p = sub.add_parser("sift-trace", help="summarize each sift of the point transversal build")
     add_input(p)
     p.add_argument("--cap", type=int, default=None)
 
@@ -240,6 +251,10 @@ def cli_main(argv=None) -> int:
         return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        # a group too large for this machine, such as gen 'cyclic(10**11)'
+        print("error: out of memory", file=sys.stderr)
         return 2
     except InternalError as exc:
         print(f"error: internal: {exc}", file=sys.stderr)

@@ -168,20 +168,3 @@ class SiftState:
     def certificate(self) -> Certificate:
         """(beta_i, first element of X_i) for every level."""
         return Certificate([(lv.beta, lv.elems[0]) for lv in self.levels])
-
-    def debug_dump(self) -> dict:
-        """JSON-ready snapshot of the per-level structure."""
-        return {
-            "degree": self.n,
-            "cap": self.cap,
-            "levels": [
-                {
-                    "beta": lv.beta,
-                    "x": [list(x.images) for x in lv.elems],
-                    "delta": sorted(lv.points),
-                }
-                for lv in self.levels
-            ],
-            "sifts": self.sift_count,
-        }
-

@@ -87,6 +87,25 @@ def base_points(state: SiftState) -> list[int]:
     return [lv.beta for lv in state.levels]
 
 
+def dump_state(state: SiftState) -> dict:
+    """JSON-ready snapshot of the per-level structure: every element's
+    images and every level's sorted Delta, to compare a state before and
+    after a call."""
+    return {
+        "degree": state.n,
+        "cap": state.cap,
+        "levels": [
+            {
+                "beta": lv.beta,
+                "x": [list(x.images) for x in lv.elems],
+                "delta": sorted(lv.points),
+            }
+            for lv in state.levels
+        ],
+        "sifts": state.sift_count,
+    }
+
+
 def validate_state(state: SiftState) -> None:
     """Check all structural invariants of a sift state; raises
     AssertionError on violation.

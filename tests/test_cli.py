@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,10 @@ import pytest
 
 import blocksift
 from blocksift.cli import cli_main
-from blocksift.ioformats import parse_generators
+from blocksift.corpus import build, parse_spec
+from blocksift.ioformats import emit_generators, parse_generators
+from blocksift.transversal import build_point_transversal
+from conftest import base_points, relabel
 
 
 def run(capsys, monkeypatch, argv, stdin=None):
@@ -229,6 +233,26 @@ class TestGeneratorPipeline:
         assert code == 2 and out == "" and "nested too deeply" in err
         assert err.startswith("error:") and err.count("\n") == 1
 
+    def test_gen_out_of_memory_exits_2(self, capsys, monkeypatch):
+        def exhausted(spec):
+            raise MemoryError
+
+        monkeypatch.setattr(blocksift.corpus, "build", exhausted)
+        code, out, err = run(capsys, monkeypatch, ["gen", "cyclic(4)"])
+        assert (code, out, err) == (2, "", "error: out of memory\n")
+
+    def test_gen_huge_cyclic_exits_2_under_a_memory_limit(self):
+        # the 512 MB address-space limit makes the build fail fast, and
+        # keeps the child from taking the machine's memory
+        resource = pytest.importorskip("resource")
+        limit = 512 * 1024 * 1024
+        proc = subprocess.run(
+            [sys.executable, "-m", "blocksift", "gen", "cyclic(100000000000)"],
+            capture_output=True, text=True, env=_package_env(), timeout=120,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: out of memory\n")
+
     def test_gen_takes_no_family_flags(self, capsys, monkeypatch):
         code, out, err = run(capsys, monkeypatch, ["gen", "--family", "cyclic", "--n", "4"])
         assert code == 2 and out == "" and "usage:" in err
@@ -237,15 +261,60 @@ class TestGeneratorPipeline:
 class TestSiftTrace:
     def test_prints_levels(self, capsys, monkeypatch):
         code, out, _ = run(capsys, monkeypatch, ["sift-trace"], stdin=C6_JSON)
-        assert code == 0 and "level" in out.lower()
-
+        assert code == 0
+        doc = json.loads(out)
+        assert set(doc) == {"result", "orbit", "trace", "final"}
+        assert doc["trace"] and all(
+            set(entry) == {"outcome", "strip_steps", "base", "delta_sizes"}
+            for entry in doc["trace"]
+        )
+        assert set(doc["final"]) == {"cap", "sifts", "base", "delta_sizes"}
 
     def test_degree_one_empty_trace(self, capsys, monkeypatch):
         code, out, _ = run(capsys, monkeypatch, ["sift-trace"], stdin=ONE_JSON)
         assert code == 0
         doc = json.loads(out)
         assert doc["orbit"] == [0] and doc["trace"] == []
-        assert doc["final"]["levels"] == []
+        assert doc["final"]["base"] == []
+
+    @pytest.mark.parametrize("spec", ["dihedral(64)", "subsets(10,2)"])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_summary_explains_each_sift(self, capsys, monkeypatch, spec, seed):
+        gens = relabel(build(parse_spec(spec)), random.Random(f"{spec}/{seed}"), 2)
+        code, out, _ = run(capsys, monkeypatch, ["sift-trace"], stdin=emit_generators(gens))
+        assert code == 0
+        doc = json.loads(out)
+        trace, final = doc["trace"], doc["final"]
+        # a point transversal build never strips a sift to the identity: an
+        # element that strips lies in the deep cube, and every element the
+        # build sifts maps 0 outside the deep cube's orbit
+        assert {e["outcome"] for e in trace} == {"appended", "new_base_point"}
+        # the state before the first sift: the seed's level, Delta {0, 0^seed}
+        base, sizes = [0], [2]
+        for entry in trace:
+            new_base, new_sizes = entry["base"], entry["delta_sizes"]
+            # each strip step clears one level, deeper than the last
+            assert entry["strip_steps"] <= len(base)
+            if entry["outcome"] == "appended":
+                assert new_base == base
+                grown = [k for k, (a, b) in enumerate(zip(sizes, new_sizes)) if a != b]
+                assert len(grown) == 1 and new_sizes[grown[0]] == 2 * sizes[grown[0]]
+            elif entry["outcome"] == "new_base_point":
+                assert new_base[:-1] == base and new_base[-1] not in base
+                assert new_sizes == sizes + [2]
+            else:
+                assert (new_base, new_sizes) == (base, sizes)
+            base, sizes = new_base, new_sizes
+        assert len(trace) == final["sifts"]
+        state, rmap = build_point_transversal(gens, 0, gens.degree)
+        assert final == {
+            "cap": gens.degree,
+            "sifts": state.sift_count,
+            "base": base_points(state),
+            "delta_sizes": [len(lv.points) for lv in state.levels],
+        }
+        assert (final["base"], final["delta_sizes"]) == (base, sizes)
+        assert doc["result"] == "transversal" and doc["orbit"] == rmap.points
 
     def test_cap_below_one_exits_2_at_every_degree(self, capsys, monkeypatch):
         for stdin in (ONE_JSON, A5_JSON):
@@ -289,14 +358,18 @@ def test_no_subcommand_is_usage_error(capsys, monkeypatch):
     assert run(capsys, monkeypatch, [])[0] == 2
 
 
-def test_python_dash_m_runs_the_cli():
+def _package_env() -> dict:
+    """The environment with this package's source tree first on the path."""
     src = Path(blocksift.__file__).resolve().parent.parent
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (str(src), os.environ.get("PYTHONPATH")) if p
     )}
+
+
+def test_python_dash_m_runs_the_cli():
     proc = subprocess.run(
         [sys.executable, "-m", "blocksift", "baseline"],
-        input=C6_JSON, capture_output=True, text=True, env=env, timeout=60,
+        input=C6_JSON, capture_output=True, text=True, env=_package_env(), timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["verdict"] == "blocks"

@@ -24,7 +24,7 @@ from blocksift.primitivity import (
 from blocksift.sift import Certificate, SiftState
 from blocksift.transversal import build_point_transversal, build_scoped_transversal
 from blocksift.words import Word
-from conftest import perm, reference_orbit, relabel
+from conftest import dump_state, perm, reference_orbit, relabel
 
 
 A5 = GeneratorSet(5, [perm(5, (0, 1, 2, 3, 4)), perm(5, (0, 1, 2))])
@@ -794,10 +794,10 @@ def test_missed_tries_leave_the_state_alone(monkeypatch, full_corpus):
     def checked_transversal(gens, alpha, cap, on_sift):
         def hook(state, outcome):
             nonlocal failed_in_misses
-            before, failures = state.debug_dump(), len(failed)
+            before, failures = dump_state(state), len(failed)
             hit = on_sift(state, outcome)
             if not hit:
-                assert state.debug_dump() == before
+                assert dump_state(state) == before
                 failed_in_misses += len(failed) - failures
             return hit
 

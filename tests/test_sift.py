@@ -13,6 +13,7 @@ from blocksift.words import WitnessMap, Word
 from conftest import (
     base_points,
     brute_force_elements,
+    dump_state,
     enumerate_deep_cube,
     perm,
     random_element,
@@ -48,10 +49,10 @@ class TestInitState:
 class TestDeepSift:
     def test_identity_is_noop(self):
         state = SiftState.init_state(4, 4, perm(4, (0, 1, 2, 3)), 0)
-        before = state.debug_dump()
+        before = dump_state(state)
         out = state.deep_sift(Permutation.identity(4))
         assert out.kind == "sifted_to_identity"
-        assert state.debug_dump()["levels"] == before["levels"]
+        assert dump_state(state)["levels"] == before["levels"]
 
     def test_disjoint_translate_appends(self):
         state = SiftState.init_state(4, 4, perm(4, (0, 1, 2, 3)), 0)

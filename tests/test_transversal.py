@@ -7,7 +7,7 @@ from blocksift.corpus import standard_corpus
 from blocksift.perm import GeneratorSet, Permutation
 from blocksift.sift import SiftState
 from blocksift.transversal import build_point_transversal, build_scoped_transversal
-from conftest import base_points, perm, random_element, reference_orbit, relabel
+from conftest import base_points, dump_state, perm, random_element, reference_orbit, relabel
 
 
 class TestBuildPointTransversal:
@@ -66,7 +66,7 @@ class TestBuildPointTransversal:
 def _snapshot(state, rmap) -> tuple:
     """Structure, r-word points and every r-word's letters as image tuples."""
     words = [tuple(g.images for g in rmap.word(p).letters) for p in rmap.points]
-    return state.debug_dump(), rmap.points, words
+    return dump_state(state), rmap.points, words
 
 
 def test_missing_hook_changes_nothing():
@@ -112,10 +112,10 @@ class TestBuildScopedTransversal:
         state.deep_sift(perm(3, (1, 2)))  # level count -> 2 = cap + 1
         assert state.capped
         _, rmap = state.level_deep_orbit(1)
-        levels, sum_xi = state.debug_dump()["levels"], state.sum_xi()
+        levels, sum_xi = dump_state(state)["levels"], state.sum_xi()
         assert build_scoped_transversal(state, rmap.word(1).eval(), (1,)) is None
         # the cap is checked before the first level is swapped
-        assert state.debug_dump()["levels"] == levels and state.sum_xi() == sum_xi
+        assert dump_state(state)["levels"] == levels and state.sum_xi() == sum_xi
         assert len(state.certificate()) == 2
 
     def test_overlay_level_discarded_deep_appends_kept(self):

@@ -36,8 +36,7 @@ from .transversal import build_point_transversal
 
 
 def _read_gens(args) -> GeneratorSet:
-    """The input generators. Cycle text naming fewer points than its degree
-    is rejected before any permutation is built (see ``parse_generators``)."""
+    """The input generators, from ``--in`` or stdin (``parse_generators``)."""
     if args.infile:
         try:
             with open(args.infile) as fh:
@@ -46,7 +45,7 @@ def _read_gens(args) -> GeneratorSet:
             raise ValueError(f"cannot read {args.infile}: {exc.strerror}") from exc
     else:
         text = sys.stdin.read()
-    return parse_generators(text, transitive=True)
+    return parse_generators(text)
 
 
 def _verdict_json(v: Verdict, elapsed_ms: float) -> dict:

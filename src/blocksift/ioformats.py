@@ -35,7 +35,7 @@ class ParseError(ValueError):
         self.col = col
 
 
-def _parse_cycles(text: str, transitive: bool) -> GeneratorSet:
+def _parse_cycles(text: str) -> GeneratorSet:
     # a comment becomes spaces of its length, so offsets stay positions
     text = _COMMENT.sub(lambda c: " " * len(c[0]), text)
 
@@ -98,10 +98,11 @@ def _parse_cycles(text: str, transitive: bool) -> GeneratorSet:
         raise error("cannot infer a positive degree", len(text))
     if max_point > degree:
         raise error(f"point {max_point} exceeds declared degree {degree}", len(text))
-    if transitive and degree > 1 and len(named) < degree:
+    if degree > 1 and len(named) < degree:
         # one of the first len(named) + 1 points is named by no cycle
-        fixed = next(p for p in range(1, degree + 1) if p not in named)
-        raise ValueError(f"point {fixed} is fixed by every generator, so the group is intransitive")
+        k = next(p for p in range(1, degree + 1) if p not in named)
+        raise error(f"point {k} is named by no cycle; a point every generator fixes"
+                    f" is written ({k}) and makes the group intransitive", len(text))
     gens = []
     for cycles in raw_gens:
         images = point_table(degree)[:degree]
@@ -142,29 +143,26 @@ def _parse_json(text: str) -> GeneratorSet:
         raise ParseError(str(exc), 1, 1) from exc
 
 
-def parse_generators(text: str, transitive: bool = False) -> GeneratorSet:
+def parse_generators(text: str) -> GeneratorSet:
     """Parse either supported format (JSON detected by a leading '{').
 
     Cycle text, as the README states it: an optional ``n=<int>;`` header,
     then whitespace-separated generators, each one or more juxtaposed
     ``(...)`` cycles of 1-based points split by whitespace or commas.
     Whitespace and ``#`` comments may stand between any other two tokens.
+    Cycle text of degree above 1 names every point, a fixed one as a
+    1-cycle ``(k)``, so no text declares more points than it has
+    characters, in either format, and a huge ``n=`` header is refused
+    before any permutation or table of its size is built.
     A ``ParseError`` names the first character that cannot continue the
     input; a point that is 0, above ``sys.maxsize`` or repeated within its
-    generator, at its first digit; an unterminated cycle or a point above
-    the declared degree, at the end of the input; and JSON nested too
-    deeply for ``json.loads``, at line 1, column 1.
-
-    With ``transitive``, cycle text of degree above 1 that names fewer
-    points than its degree (a header ``n=`` above the largest point named,
-    say) is a ``ValueError`` before any permutation is built: a point no
-    cycle names is fixed by every generator, so the group is intransitive,
-    and a huge declared degree allocates nothing. JSON input holds every
-    image, so its size is the size of the text.
+    generator, at its first digit; an unterminated cycle, a point above
+    the declared degree or one named by no cycle, at the end of the input;
+    and JSON nested too deeply for ``json.loads``, at line 1, column 1.
     """
     if text.lstrip().startswith("{"):
         return _parse_json(text)
-    return _parse_cycles(text, transitive)
+    return _parse_cycles(text)
 
 
 def emit_generators(gens: GeneratorSet, fmt: str = "json") -> str:
@@ -174,14 +172,13 @@ def emit_generators(gens: GeneratorSet, fmt: str = "json") -> str:
             {"degree": gens.degree, "generators": [list(g.images) for g in gens]}
         )
     if fmt == "cycles":
-        parts = []
+        parts, moved = [], set()
         for g in gens:
             cycs = g.cycles()
-            if not cycs:
-                parts.append("()")
-            else:
-                parts.append(
-                    "".join("(" + " ".join(str(p + 1) for p in c) + ")" for c in cycs)
-                )
-        return f"n={gens.degree}; " + " ".join(parts)
+            moved.update(p for c in cycs for p in c)
+            parts.append("".join("(" + " ".join(str(p + 1) for p in c) + ")" for c in cycs))
+        # cycle text names every point: those every generator fixes as 1-cycles
+        if gens.degree > 1:
+            parts[0] += "".join(f"({p + 1})" for p in range(gens.degree) if p not in moved)
+        return f"n={gens.degree}; " + " ".join(part or "()" for part in parts)
     raise ValueError(f"unknown format {fmt!r}")

@@ -196,10 +196,9 @@ def ss_primitivity(gens: GeneratorSet, cap: int) -> Verdict:
         diag.early_tries += 1
         if test_cycle(orbit(x, alpha, dmax), tracked):
             return True
-        if len(first.elems) < 2:
-            return False
         # the cycle of r = x y through alpha, y the element appended before
-        # x, walked by lookups without building r or any inverse
+        # x (the level's seed at least), walked by lookups without building
+        # r or any inverse
         diag.early_tries += 1
         ximg, yimg = x.images, first.elems[-2].images
         delta = [alpha]

@@ -72,7 +72,9 @@ class SiftOutcome:
 
     The chain holds the (s, t) coset-word pairs applied in order; the
     terminal element is what remained when stripping stopped. The input
-    factors as s1^-1 (s2^-1 (... terminal ...) t2) t1.
+    factors as s1^-1 (s2^-1 (... terminal ...) t2) t1. Only direct calls
+    get ``sifted_to_identity``: every sift a driver makes appends or opens
+    a level (see ``transversal._close_transversal``).
     """
 
     kind: Literal["appended", "new_base_point", "sifted_to_identity"]

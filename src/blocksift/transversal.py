@@ -33,11 +33,14 @@ def _close_transversal(
 
     Each (orbit point, generator) pair is visited exactly once, in the
     order the points entered the orbit and then generator order, so the
-    queue is the list of points in entry order. Returns the r-words on
-    closure, or, given ``targets``, as soon as the map holds every target:
-    the held points change only when the deep orbit is (re)built, so they
-    are checked then. Returns None the moment the state passes its cap or
-    ``on_sift``, called after every sift, returns a truthy value.
+    queue is the list of points in entry order. That is sound only as no
+    sift here strips to the identity, which would leave its point unheld
+    for good: ``tests/test_sift.py::test_no_driver_sift_strips_to_the_identity``
+    proves and checks it. Returns the r-words on closure, or, given
+    ``targets``, as soon as the map holds every target: the held points
+    change only when the deep orbit is (re)built, so they are checked
+    then. Returns None the moment the state passes its cap or ``on_sift``,
+    called after every sift, returns a truthy value.
     """
     arrays = [g.images for g in gens]
     _, rmap = state.level_deep_orbit(1)

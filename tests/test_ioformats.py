@@ -3,6 +3,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from blocksift import ioformats
 from blocksift.ioformats import ParseError, emit_generators, parse_generators
 from blocksift.perm import GeneratorSet, Permutation
 from conftest import perm
@@ -68,10 +69,10 @@ class TestCycleFormat:
         assert gens.generators == [perm(3, (0, 1, 2)), perm(3, (0, 1))]
 
     def test_degree_inferred_without_header(self):
-        assert parse_generators("(2 5)").degree == 5
+        assert parse_generators("(2 5)(1)(3)(4)").degree == 5
 
     def test_identity_and_comments(self):
-        gens = parse_generators("# trivial group\nn=3; ()\n")
+        gens = parse_generators("# trivial group\nn=3; (1)(2)(3)\n")
         assert gens.generators == [perm(3)]
 
     def test_repeated_point_in_one_generator_rejected(self):
@@ -118,6 +119,7 @@ class TestCycleFormat:
         ("n=2; (1 3) # end", "point 3 exceeds declared degree 2", (1, 17)),
         ("# only a comment\n", "no generators found", (2, 1)),
         ("() ()", "cannot infer a positive degree", (1, 6)),
+        ("n=4; (1 2)(4) # c", "point 3 is named by no cycle", (1, 18)),
     ])
     def test_error_names_first_character_that_cannot_continue(self, text, message, pos):
         # a semantic fault in a point is named at the point's start; one
@@ -131,9 +133,21 @@ class TestCycleFormat:
         gens = parse_generators("n = 5 ; # header\n(1,2 ,3)(4\t5)\n# c\n(1\n,5)")
         assert gens == GeneratorSet(5, [perm(5, (0, 1, 2), (3, 4)), perm(5, (0, 4))])
 
+    def test_every_point_must_be_named(self, monkeypatch):
+        # a huge degree is refused from the text alone: neither a point
+        # table nor a permutation of that size is built
+        def spy(*args):
+            raise AssertionError("built before the degree was checked")
+
+        monkeypatch.setattr(ioformats, "point_table", spy)
+        monkeypatch.setattr(Permutation, "__init__", spy)
+        for text, unnamed in (("n=100000000000; (1 2)", 3), ("(1 100000000000)", 2)):
+            with pytest.raises(ValueError, match=f"^point {unnamed} is named by no cycle"):
+                parse_generators(text)
+
     def test_unicode_decimal_digits_are_digits(self):
         # int() reads every Unicode decimal digit; a superscript is no digit
-        assert parse_generators("(\u0661 \u0663)").degree == 3
+        assert parse_generators("(\u0661 \u0663)(\u0662)").degree == 3
         with pytest.raises(ParseError) as ei:
             parse_generators("(1 2\u00b2)")
         assert (ei.value.line, ei.value.col) == (1, 5)
@@ -151,11 +165,23 @@ class TestRoundTrips:
         doc = json.loads(emit_generators(gens, "json"))
         assert doc == {"degree": 4, "generators": [[1, 2, 3, 0]]}
 
+    @pytest.mark.parametrize("gens, text", [
+        (GeneratorSet(5, [perm(5, (0, 1)), perm(5, (2, 3))]), "n=5; (1 2)(5) (3 4)"),
+        (GeneratorSet(3, [perm(3)]), "n=3; (1)(2)(3)"),
+        (GeneratorSet(1, [perm(1)]), "n=1; ()"),
+    ])
+    def test_cycles_name_every_fixed_point(self, gens, text):
+        assert emit_generators(gens, "cycles") == text
+        assert parse_generators(text) == gens
+
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError):
             emit_generators(GeneratorSet(2, [perm(2, (0, 1))]), "xml")
 
 
+cycle_alphabet_text = st.text(
+    alphabet="()()  ,\n\t#n=;0123456789x\u0663\u00b2", max_size=40
+)
 generator_sets = st.integers(1, 9).flatmap(
     lambda n: st.lists(
         st.permutations(list(range(n))).map(Permutation), min_size=1, max_size=4
@@ -167,13 +193,31 @@ class TestBoundaryProperties:
     @settings(max_examples=200, deadline=None)
     @given(generator_sets, st.sampled_from(["json", "cycles"]))
     def test_emit_then_parse_round_trips(self, gens, fmt):
-        # intransitive sets too: only transitive=False accepts them all
+        # intransitive sets too: cycle text writes each fixed point as (k)
         assert parse_generators(emit_generators(gens, fmt)) == gens
 
     @settings(max_examples=500, deadline=None)
-    @given(st.text(alphabet="()()  ,\n\t#n=;0123456789x\u0663\u00b2", max_size=40))
+    @given(cycle_alphabet_text)
     def test_cycle_text_parses_or_raises_value_error(self, text):
         try:
-            parse_generators(text, transitive=True)
+            parse_generators(text)
         except ValueError:
             pass
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.one_of(
+        cycle_alphabet_text,
+        st.builds(emit_generators, generator_sets, st.sampled_from(["json", "cycles"])),
+        # cycle text under a header of any degree
+        st.builds(lambda n, gens: f"n={n}; " + emit_generators(gens, "cycles").split("; ")[1],
+                  st.integers(1, 10_000), generator_sets),
+        st.builds(lambda n, images: json.dumps({"degree": n, "generators": images}),
+                  st.integers(1, 10_000),
+                  st.lists(st.lists(st.integers(0, 3), max_size=4), min_size=1, max_size=3)),
+    ))
+    def test_accepted_text_bounds_the_degree(self, text):
+        try:
+            gens = parse_generators(text)
+        except ValueError:
+            return
+        assert gens.degree <= len(text)

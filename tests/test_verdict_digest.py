@@ -4,6 +4,7 @@ change that must keep every verdict the same runs it."""
 import hashlib
 import importlib.util
 import json
+import random
 import re
 import subprocess
 import sys
@@ -12,6 +13,7 @@ from pathlib import Path
 from blocksift.blocks import BlockSystem, atkinson_baseline
 from blocksift.corpus import build, parse_spec
 from blocksift.primitivity import Verdict
+from conftest import relabel
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "verdict_digest.py"
 
@@ -57,6 +59,18 @@ def test_oracle_counts_no_mismatch_and_catches_one():
     moved = BlockSystem.from_blocks(6, [[0, 1], [2, 3], [4, 5]])
     assert tool.oracle_mismatch(c6, Verdict("blocks", blocks=moved), blocks)
     assert not tool.oracle_mismatch(c6, Verdict("partial_base"), blocks)
+
+
+def test_tool_relabels_as_the_tests_do(full_corpus):
+    # the tool keeps its own copy of the tests' relabelling, so that it runs
+    # in older checkouts; at its seeds both copies must draw the same groups
+    groups = dict(load_tool().groups())
+    assert len(groups) == 4 * len(full_corpus)
+    for entry in full_corpus:
+        for extra in (0, 1, 2):
+            rng = random.Random(f"{entry.name}/{extra}")
+            name = f"{entry.name}/relabel+{extra}"
+            assert groups[name] == relabel(entry.gens, rng, extra), name
 
 
 def test_compare_counts_the_cases_and_fields_that_moved(tmp_path):

@@ -43,14 +43,22 @@ class Permutation:
     def __init__(self, images: Sequence[int]):
         images = tuple(images)
         n = len(images)
-        if n < 1:
-            raise ValueError("degree must be at least 1")
-        if not 0 <= min(images) or not max(images) < n:
-            raise ValueError(f"not a permutation of 0..{n - 1}: {images!r}")
-        # a non-int image raises TypeError here, before the duplicate check
-        points = product_images(images, point_table(n))
-        if len(set(points)) != n:
-            raise ValueError(f"not a permutation of 0..{n - 1}: {images!r}")
+        # n distinct table ints (all >= 0) sum to n(n-1)/2 only if they are 0..n-1; an image v
+        # in -N..-1 (N = table length) gathers v + N, so sum(images) is then lower by N per v.
+        try:
+            points = product_images(images, point_table(n))
+            valid = len(set(points)) == n and sum(points) == n * (n - 1) // 2 == sum(images)
+        except (TypeError, IndexError):  # an image that is no index, or outside -N..N-1
+            valid = False
+        if not valid:  # the slow checks, in this order, choose the exception raised
+            if n < 1:
+                raise ValueError("degree must be at least 1")
+            if not 0 <= min(images) or not max(images) < n:
+                raise ValueError(f"not a permutation of 0..{n - 1}: {images!r}")
+            # a non-int image raises TypeError here, before the duplicate check
+            points = product_images(images, point_table(n))
+            if len(set(points)) != n:
+                raise ValueError(f"not a permutation of 0..{n - 1}: {images!r}")
         self.images = points
         self._inv: Permutation | None = None
 
@@ -90,10 +98,6 @@ class Permutation:
 
     def is_identity(self) -> bool:
         return all(v == p for p, v in enumerate(self.images))
-
-    def support(self) -> list[int]:
-        """Moved points, ascending."""
-        return [p for p, v in enumerate(self.images) if v != p]
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Disjoint cycle decomposition, fixed points omitted."""

@@ -8,7 +8,7 @@ from collections import deque
 
 import pytest
 
-from blocksift.perm import GeneratorSet, Permutation
+from blocksift.perm import GeneratorSet, Permutation, point_table, product_images
 from blocksift.sift import SiftOutcome, SiftState
 from blocksift.words import Word
 
@@ -16,6 +16,22 @@ from blocksift.words import Word
 def perm(n, *cycles) -> Permutation:
     """Shorthand: perm(4, (0,1,2,3)) is the 4-cycle on 0..3."""
     return Permutation.from_cycles(n, cycles)
+
+
+def reference_images(images) -> tuple[int, ...]:
+    """The image tuple ``Permutation(images)`` stores, or the exception it
+    raises, by the plain rule its C-level checks must agree with: a range
+    check by ``min`` and ``max``, the gather from the table, then a set."""
+    images = tuple(images)
+    n = len(images)
+    if n < 1:
+        raise ValueError("degree must be at least 1")
+    if not 0 <= min(images) or not max(images) < n:
+        raise ValueError(f"not a permutation of 0..{n - 1}: {images!r}")
+    points = product_images(images, point_table(n))
+    if len(set(points)) != n:
+        raise ValueError(f"not a permutation of 0..{n - 1}: {images!r}")
+    return points
 
 
 def brute_force_elements(gens: GeneratorSet, limit: int = 200000) -> set[Permutation]:

@@ -4,7 +4,7 @@ import threading
 import time
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from blocksift import perm as perm_module, primitivity
 from blocksift.blocks import blockness_test
@@ -20,7 +20,7 @@ from blocksift.perm import (
 )
 from blocksift.sift import SiftState
 from blocksift.words import Word
-from conftest import perm, reference_orbit, relabel
+from conftest import perm, reference_images, reference_orbit, relabel
 
 
 def random_perms(max_degree=8):
@@ -472,12 +472,105 @@ class TestPointTable:
             ([0, 0.0], TypeError, "indices must be integers or slices, not float"),
             (["1", "0"], TypeError, "'<=' not supported between instances of 'int' and 'str'"),
             (None, TypeError, "'NoneType' object is not iterable"),
+            # negatives that a table of len(images) ints gathers to a permutation
+            ([-1, 0], ValueError, "not a permutation of 0..1: (-1, 0)"),
+            ([1, -2], ValueError, "not a permutation of 0..1: (1, -2)"),
+            ([-2, -1], ValueError, "not a permutation of 0..1: (-2, -1)"),
+            ([-1], ValueError, "not a permutation of 0..0: (-1,)"),
+            # inside a grown table, but not below the degree
+            ([0, 3], ValueError, "not a permutation of 0..1: (0, 3)"),
+            ([0, 2**63], ValueError, f"not a permutation of 0..1: (0, {2**63})"),
+            # the right sum with a repeat, and with a large value and a negative
+            ([1, 1, 1], ValueError, "not a permutation of 0..2: (1, 1, 1)"),
+            ([3, -2], ValueError, "not a permutation of 0..1: (3, -2)"),
         ],
     )
-    def test_malformed_images_raise_as_before(self, images, error, message):
-        with pytest.raises(error) as info:
-            Permutation(images)
-        assert type(info.value) is error and message in str(info.value)
+    def test_malformed_images_raise_as_before(self, monkeypatch, images, error, message):
+        # each row with a fresh table (then of exactly len(images) ints) and a grown one
+        for table in ([], list(range(64))):
+            monkeypatch.setattr(perm_module, "_points", table)
+            with pytest.raises(error) as info:
+                Permutation(images)
+            assert type(info.value) is error and message in str(info.value)
+
+    @settings(max_examples=400)
+    @given(st.data())
+    def test_checks_agree_with_the_reference(self, data):
+        # Permutation accepts exactly what the range and set checks of
+        # reference_images accept, with the same images, and otherwise
+        # raises the same exception and message, from a fresh table (of n
+        # ints) and from one grown to `grown` ints
+        n = data.draw(st.integers(1, 40))
+        grown = data.draw(st.integers(n + 1, 4 * n))
+        ints = st.integers(-2 * n, 2 * n - 1)
+        junk = st.booleans() | st.floats() | st.integers(2**62) | st.integers(max_value=-(2**62))
+        kind = data.draw(st.sampled_from(["ints", "mixed", "one changed", "wrapped", "sum kept"]))
+        if kind in ("ints", "mixed"):
+            values = ints | junk if kind == "mixed" else ints
+            images = data.draw(st.lists(values, min_size=n, max_size=n))
+        else:
+            images = data.draw(st.permutations(range(n)))
+            i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        if kind == "one changed":
+            images[i] = data.draw(st.sampled_from(images) | ints | junk)
+        elif kind == "wrapped":  # entries that one of the two tables gathers back
+            shifts = st.sampled_from([0, n, grown])
+            images = [v - data.draw(shifts) for v in images]
+        elif kind == "sum kept":  # a repeat, or a negative that offsets a large value
+            shift = data.draw(st.integers(-2 * n, 2 * n))
+            images[i] += shift
+            images[j] -= shift
+        saved = perm_module._points
+        try:
+            for size in (0, grown):
+                outcomes = []
+                for check in (lambda v: Permutation(v).images, reference_images):
+                    perm_module._points = list(range(size))
+                    try:
+                        outcomes.append(("accepted", check(images)))
+                    except Exception as exc:
+                        outcomes.append((type(exc), str(exc)))
+                assert outcomes[0] == outcomes[1]
+                if outcomes[0][0] == "accepted":
+                    assert all(type(v) is int for v in outcomes[0][1])
+        finally:
+            perm_module._points = saved
+
+    def test_no_python_work_per_point(self):
+        # No Python-level call and no executed line runs per point: the
+        # counts are the same at 16 and at 16384 points. A loop over the
+        # points shows as lines, and a generator or callback over them as calls.
+        def count(action):
+            counts = {"call": 0, "line": 0}
+
+            def on_call(frame, event, arg):
+                counts["call"] += event == "call"
+
+            def on_line(frame, event, arg):
+                counts["line"] += event == "line"
+                return on_line
+
+            action()  # warm-up: first-call caches
+            profiler, tracer = sys.getprofile(), sys.gettrace()
+            sys.setprofile(on_call)
+            sys.settrace(on_line)
+            try:
+                action()
+            finally:
+                sys.settrace(tracer)
+                sys.setprofile(profiler)
+            return counts
+
+        def actions(n):
+            images = random.Random(n).sample(range(n), n)
+            text = emit_generators(GeneratorSet(n, [Permutation(images), Permutation.identity(n)]))
+            assert "true" not in text and "false" not in text
+            return lambda: Permutation(images), lambda: parse_generators(text)
+
+        point_table(2 * 16384)  # no table growth inside a count
+        small, large = actions(16), actions(16384)
+        for a, b in zip(small, large):
+            assert count(a) == count(b)
 
     def test_bool_images_become_ints(self):
         images = Permutation([True, False]).images

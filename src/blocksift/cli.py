@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Subcommands: ``primitive`` (capped drivers / uncapped), ``baseline``
-(quadratic oracle), ``minblock``, ``sift-trace``, ``gen`` (emits the
-generators of a group spec such as ``wreath(alternating(8),2)``), and
-``bench``. Generator input comes from ``--in FILE`` or stdin, in either
+(quadratic oracle), ``minblock``, ``sift-trace`` and ``gen`` (emits the
+generators of a group spec such as ``wreath(alternating(8),2)``).
+Generator input comes from ``--in FILE`` or stdin, in either
 serialization format; results are JSON on stdout. Exit status is 0 for
 any verdict, 2 for input errors (an unparsable or intransitive group, a
 cap below 1, a group too large to build in memory), and 3 for an internal
@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import statistics
 import sys
 import time
 
@@ -155,33 +154,6 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    try:
-        sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
-    except ValueError as exc:
-        raise ValueError(f"bad --sizes value: {args.sizes!r}") from exc
-    if args.runs < 1:
-        raise ValueError(f"--runs must be at least 1, not {args.runs}")
-    if not sizes:
-        raise ValueError(f"--sizes names no size: {args.sizes!r}")
-    family = args.family.lower().replace("-", "_")
-    groups = [corpus.build(corpus.parse_spec(f"{family}({size})")) for size in sizes]
-    print("family,n,|S|,time_ms,sifts,h_updates,sum_Xi")
-    for gens in groups:
-        times = []
-        verdict = None
-        for _ in range(args.runs):
-            start = time.perf_counter()
-            verdict = primitivity_main(gens)
-            times.append((time.perf_counter() - start) * 1000)
-        d = verdict.diagnostics
-        print(
-            f"{family},{gens.degree},{len(gens)},"
-            f"{statistics.median(times):.3f},{d.sifts},{d.h_updates},{d.sum_xi}"
-        )
-    return 0
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="blocksift",
@@ -219,11 +191,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("spec", help="group spec, e.g. 'wreath(alternating(8),2)'")
     p.add_argument("--format", choices=["json", "cycles"], default="json")
 
-    p = sub.add_parser("bench", help="timing table for a one-parameter family")
-    p.add_argument("--family", required=True)
-    p.add_argument("--sizes", required=True, metavar="N1,N2,...")
-    p.add_argument("--runs", type=int, default=5)
-
     return parser
 
 
@@ -233,7 +200,6 @@ _COMMANDS = {
     "minblock": _cmd_minblock,
     "sift-trace": _cmd_sift_trace,
     "gen": _cmd_gen,
-    "bench": _cmd_bench,
 }
 
 

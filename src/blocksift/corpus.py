@@ -4,8 +4,8 @@ Families are described by a :class:`GroupSpec` (also parseable from a
 compact string such as ``"wreath(alternating(8),2)"``) and realized as
 transitive generator sets. Each family is one row of ``_FAMILIES``: its
 ``GroupSpec`` parameter names in spec-string order, its constructor and
-its order formula; the parser, ``describe``, ``build`` and ``spec_order``
-all read that row. Point numbering conventions are pinned:
+its degree and order formulas; the parser, ``describe``, ``build`` and
+``spec_order`` all read that row. Point numbering conventions are pinned:
 k-subsets are ranked colexicographically, product-action tuples use
 mixed-radix encoding with digit 0 least significant, and imprimitive
 wreath actions use blocks of m consecutive points.
@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass, field
 from importlib import resources
 from itertools import combinations
@@ -220,30 +221,42 @@ def mathieu24() -> GeneratorSet:
 @dataclass(frozen=True)
 class _Family:
     """One group family. ``params`` are its ``GroupSpec`` field names in
-    spec-string order, where ``inner`` holds a nested spec. ``make`` and
-    ``order`` take the params' values, ``make`` with the nested spec built
-    and ``order`` with the nested spec's order."""
+    spec-string order, where ``inner`` holds a nested spec. ``make``,
+    ``degree`` and ``order`` take the params' values, the nested spec as
+    built, as its degree or as its order. ``degree`` is quick for any
+    params: past ``sys.maxsize`` it may return any larger number."""
 
     params: tuple[str, ...]
     make: Callable[..., GeneratorSet]
+    degree: Callable[..., int]
     order: Callable[..., int | None]
 
 
 _FAMILIES = {
-    "cyclic": _Family(("n",), cyclic, lambda n: n),
-    "dihedral": _Family(("n",), dihedral, lambda n: 2 * n),
-    "symmetric": _Family(("m",), symmetric, math.factorial),
-    "alternating": _Family(("m",), alternating, lambda m: math.factorial(m) // 2),
+    "cyclic": _Family(("n",), cyclic, lambda n: n, lambda n: n),
+    "dihedral": _Family(("n",), dihedral, lambda n: n, lambda n: 2 * n),
+    "symmetric": _Family(("m",), symmetric, lambda m: m, math.factorial),
+    "alternating": _Family(("m",), alternating, lambda m: m, lambda m: math.factorial(m) // 2),
+    # C(m,k) = C(m,j) for j = min(k, m-k), and C(m,j) grows with j up to
+    # m/2, so once j passes 64, C(m,64) alone passes sys.maxsize; a k outside
+    # 1..m-1 counts as C(m,0) = 1 and is left to the constructor's message
     "subsets": _Family(
-        ("m", "k"), on_k_subsets, lambda m, k: math.factorial(m) if m >= 3 else None
+        ("m", "k"), on_k_subsets,
+        lambda m, k: math.comb(m, max(0, min(k, m - k, 64))),
+        lambda m, k: math.factorial(m) if m >= 3 else None,
     ),
     "wreath": _Family(
-        ("inner", "d"), wreath_imprimitive, lambda inner, d: inner**d * math.factorial(d)
+        ("inner", "d"), wreath_imprimitive, lambda inner, d: inner * d,
+        lambda inner, d: inner**d * math.factorial(d),
     ),
+    # m**d > sys.maxsize for m >= 2 and d >= 64; m or d below 2 is left to
+    # the constructor's message
     "product": _Family(
-        ("m", "d"), product_action, lambda m, d: math.factorial(m) ** d * math.factorial(d)
+        ("m", "d"), product_action,
+        lambda m, d: 1 if min(m, d) < 2 else m**d if d < 64 else sys.maxsize + 1,
+        lambda m, d: math.factorial(m) ** d * math.factorial(d),
     ),
-    "m24": _Family((), mathieu24, lambda: M24_ORDER),
+    "m24": _Family((), mathieu24, lambda: 24, lambda: M24_ORDER),
 }
 
 
@@ -254,8 +267,21 @@ def _args(spec: GroupSpec) -> list:
     return [getattr(spec, p) for p in _FAMILIES[spec.family].params]
 
 
+def spec_degree(spec: GroupSpec) -> int:
+    """The spec's number of points; ``ValueError`` when it, or a spec
+    nested in it, has more than ``sys.maxsize``."""
+    args = [spec_degree(a) if isinstance(a, GroupSpec) else a for a in _args(spec)]
+    degree = _FAMILIES[spec.family].degree(*args)
+    if degree > sys.maxsize:
+        raise ValueError(f"{spec.describe()} has more than sys.maxsize points")
+    return degree
+
+
 def build(spec: GroupSpec) -> GeneratorSet:
-    """Realize a group spec; the result is always transitive."""
+    """Realize a group spec; the result is always transitive. A spec of
+    more than ``sys.maxsize`` points, like cycle text naming such a point,
+    is refused before any constructor runs."""
+    spec_degree(spec)
     args = [build(a) if isinstance(a, GroupSpec) else a for a in _args(spec)]
     gens = _FAMILIES[spec.family].make(*args)
     if not is_transitive(gens):

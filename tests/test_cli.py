@@ -1,7 +1,10 @@
+import argparse
+import dataclasses
 import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import blocksift
+from blocksift import cli
 from blocksift.cli import cli_main
 from blocksift.corpus import build, parse_spec
 from blocksift.ioformats import emit_generators, parse_generators
@@ -253,6 +257,31 @@ class TestGeneratorPipeline:
         )
         assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: out of memory\n")
 
+    @pytest.mark.parametrize("spec", [
+        "subsets(70,35)",
+        "symmetric(99999999999999999999)",
+        "alternating(99999999999999999999)",
+        "subsets(99999999999999999999,1)",
+        "cyclic(99999999999999999999)",
+        "wreath(cyclic(2),99999999999999999999)",
+        "product(2,99999999999999999999)",
+        pytest.param("wreath(" * 62 + "cyclic(2)" + ",2)" * 62, id="wreath-62-deep"),  # 2**63
+    ])
+    def test_gen_past_maxsize_exits_2_before_any_constructor(self, capsys, monkeypatch, spec):
+        # each constructor would overflow or run for hours on these; the
+        # spies make a constructor call fail at once
+        def refuse(*args):
+            raise AssertionError(f"a constructor ran for {spec}")
+
+        for name, family in blocksift.corpus._FAMILIES.items():
+            monkeypatch.setitem(
+                blocksift.corpus._FAMILIES, name, dataclasses.replace(family, make=refuse)
+            )
+        with pytest.raises(ValueError, match="more than sys.maxsize points"):
+            build(parse_spec(spec))
+        code, out, err = run(capsys, monkeypatch, ["gen", spec])
+        assert (code, out) == (2, "") and err.startswith("error:") and err.count("\n") == 1
+
     def test_gen_takes_no_family_flags(self, capsys, monkeypatch):
         code, out, err = run(capsys, monkeypatch, ["gen", "--family", "cyclic", "--n", "4"])
         assert code == 2 and out == "" and "usage:" in err
@@ -322,40 +351,22 @@ class TestSiftTrace:
             assert code == 2 and "cap" in err
 
 
-class TestBench:
-    def test_csv_shape(self, capsys, monkeypatch):
-        code, out, _ = run(
-            capsys, monkeypatch,
-            ["bench", "--family", "dihedral", "--sizes", "8,16", "--runs", "1"],
-        )
-        assert code == 0
-        lines = out.strip().splitlines()
-        assert lines[0] == "family,n,|S|,time_ms,sifts,h_updates,sum_Xi"
-        assert len(lines) == 3
-        assert lines[1].startswith("dihedral,8,") and lines[2].startswith("dihedral,16,")
-
-    def test_runs_below_one_exits_2(self, capsys, monkeypatch):
-        for runs in ("0", "-3"):
-            code, out, err = run(
-                capsys, monkeypatch,
-                ["bench", "--family", "dihedral", "--sizes", "8", "--runs", runs],
-            )
-            assert code == 2 and out == ""
-            assert err.startswith("error:") and "--runs" in err
-
-    def test_bad_sizes_exit_2_before_any_output(self, capsys, monkeypatch):
-        # every size is checked before the header is printed
-        for sizes in ("8,1", "", ","):
-            code, out, err = run(
-                capsys, monkeypatch,
-                ["bench", "--family", "dihedral", "--sizes", sizes, "--runs", "1"],
-            )
-            assert code == 2 and out == "", sizes
-            assert err.startswith("error:"), sizes
-
-
 def test_no_subcommand_is_usage_error(capsys, monkeypatch):
     assert run(capsys, monkeypatch, [])[0] == 2
+
+
+def test_documented_subcommands_are_the_parsers():
+    # the README's CLI synopsis and the module docstring's "Subcommands:"
+    # sentence name exactly the subcommands the parser takes
+    (subparsers,) = [
+        a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    choices = set(subparsers.choices)
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    synopsis = re.search(r"## CLI\n\n```\n(.*?)```", readme, re.S).group(1)
+    assert {line.split()[1] for line in synopsis.splitlines()} == choices
+    sentence = re.search(r"Subcommands:(.*?)\.\s", cli.__doc__, re.S).group(1)
+    assert set(re.findall(r"``([a-z][a-z-]*)``", sentence)) == choices
 
 
 def _package_env() -> dict:

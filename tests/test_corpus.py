@@ -1,3 +1,6 @@
+import math
+import sys
+
 import pytest
 
 from blocksift.blocks import validate_block_system, BlockSystem
@@ -8,6 +11,7 @@ from blocksift.corpus import (
     mathieu24,
     on_k_subsets,
     parse_spec,
+    spec_degree,
     spec_order,
 )
 from blocksift.perm import is_transitive
@@ -51,6 +55,23 @@ class TestBuilders:
         for entry in full_corpus:
             assert is_transitive(entry.gens), entry.name
             assert entry.gens.degree == len(reference_orbit(entry.gens.generators, 0)), entry.name
+
+    def test_spec_degree_is_the_built_degree(self, full_corpus):
+        for entry in full_corpus:
+            assert spec_degree(entry.spec) == entry.gens.degree, entry.name
+
+    def test_bounded_degree_formulas_exact_up_to_maxsize(self):
+        # subsets and product bound their work for huge params; around
+        # sys.maxsize they give the exact degree or refuse
+        cases = [(f"subsets({m},{k})", math.comb(m, k))
+                 for m in range(2, 160) for k in range(1, m)]
+        cases += [(f"product({m},{d})", m**d) for m in range(2, 12) for d in range(2, 80)]
+        for text, degree in cases:
+            if degree <= sys.maxsize:
+                assert spec_degree(parse_spec(text)) == degree, text
+            else:
+                with pytest.raises(ValueError, match="sys.maxsize"):
+                    spec_degree(parse_spec(text))
 
     def test_small_orders_exact(self):
         cases = [

@@ -14,7 +14,7 @@ for the process: about 36 bytes × (up to 2 × the largest degree seen).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, repeat
 from operator import itemgetter
 from typing import Iterable, Sequence
 
@@ -291,9 +291,9 @@ def orbit(perm: Permutation, start: int, limit: int, cells: Orbits | None = None
     time: a newly reached point brings in its cell, listed least point
     first, and only ``perm`` acts on each point. Held cells are a set of
     roots, so a closure that stops early allocates nothing of the degree's
-    size. The walk stops as soon as it holds more than ``limit`` points
-    (with cells, before walking the cell that passed it) and returns what
-    it holds, so a result longer than ``limit`` is not the whole orbit.
+    size. The walk stops as soon as it holds more than ``limit`` points:
+    a cycle after ``limit`` steps (``[start]`` at limit 0), a closure before
+    walking the cell that passed it. A longer result may not be the orbit.
     """
     arr = perm.images
     if not 0 <= start < len(arr):
@@ -301,10 +301,10 @@ def orbit(perm: Permutation, start: int, limit: int, cells: Orbits | None = None
     if cells is None:
         out = [start]
         p = arr[start]
-        while p != start:
+        for _ in repeat(None, limit):
+            if p == start:
+                break
             out.append(p)
-            if len(out) > limit:
-                return out
             p = arr[p]
         return out
     if len(arr) != cells.degree:
@@ -326,26 +326,27 @@ def orbit(perm: Permutation, start: int, limit: int, cells: Orbits | None = None
 
 
 def is_transitive(gens: GeneratorSet) -> bool:
-    """Whether 0's orbit is every point. Held points are taken in discovery
-    order, and from each, each generator's cycle is followed until it meets
-    a held point. It answers True once a taken point leaves n points held,
-    and False once all are taken (every image of a held point is then
-    held). Each image read adds a point or ends a walk: at most
-    n |S| + n - 1 reads, and n - 1 + |S| if the first generator moving 0
-    has an n-cycle. One generator is walked round its cycle through 0.
+    """Whether 0's orbit is every point. The first generator moving 0 is
+    walked round its cycle through 0 with no seen array: an n-cycle answers
+    True in k + n image reads (k generators ahead), and a lone generator
+    answers either way. Otherwise held points are taken in discovery order,
+    and from each, each generator's cycle is followed until it meets a held
+    point: at most n |S| + n - 1 reads, each adding a point or ending a walk.
     """
     n = gens.degree
     arrays = [g.images for g in gens.generators]
+    for arr in arrays:
+        if p := arr[0]:
+            break
     held = [0]
-    if len(arrays) == 1:
-        arr = arrays[0]
-        p = arr[0]
-        while p:
-            held.append(p)
-            p = arr[p]
+    while p:
+        held.append(p)
+        p = arr[p]
+    if len(held) == n or len(arrays) == 1:
         return len(held) == n
     seen = bytearray(n)
-    seen[0] = 1
+    for p in held:
+        seen[p] = 1
     for p in held:  # grows while it is walked
         for arr in arrays:
             q = arr[p]

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
-from itertools import zip_longest
+from itertools import repeat, zip_longest
 from typing import Literal
 
 from .blocks import BlockSystem, InternalError, blockness_test
@@ -196,17 +196,16 @@ def ss_primitivity(gens: GeneratorSet, cap: int) -> Verdict:
         diag.early_tries += 1
         if test_cycle(orbit(x, alpha, dmax), tracked):
             return True
-        # the cycle of r = x y through alpha, y the element appended before
-        # x (the level's seed at least), walked by lookups without building
-        # r or any inverse
+        # the cycle of r = x y through alpha, y the element appended before x
+        # (the level's seed at least), by lookups: r and inverses are not built
         diag.early_tries += 1
         ximg, yimg = x.images, first.elems[-2].images
         delta = [alpha]
         p = yimg[ximg[alpha]]
-        while p != alpha:
-            delta.append(p)
-            if len(delta) > dmax:
+        for _ in repeat(None, dmax):  # at most dmax steps, as in orbit
+            if p == alpha:
                 break
+            delta.append(p)
             p = yimg[ximg[p]]
         return test_cycle(delta, tracked)
 

@@ -131,6 +131,12 @@ class TestOrbitLimit:
             assert orbit(r, 1, limit) == full[: limit + 1]
         assert orbit(r, 1, len(full)) == full
 
+    def test_limit_zero_gives_the_start(self):
+        # a cycle is walked at most limit steps: none at limit 0
+        g = perm(10, (0, 4, 7), (1, 2))
+        assert orbit(g, 4, 0) == [4]
+        assert orbit(g, 3, 0) == [3]
+
 
 @st.composite
 def mixed_providers(draw):
@@ -323,10 +329,16 @@ def random_involution(n, points, rng):
     return Permutation.from_cycles(n, [pairs[i:i + 2] for i in range(0, len(pairs), 2)])
 
 
+def fixing_0(n, rng):
+    """A random involution that fixes 0, the identity at n = 2."""
+    return random_involution(n, range(1, n), rng) if n > 2 else Permutation.identity(n)
+
+
 class TestTransitivityWalk:
-    """The cycle walk's stop rules: n - 1 + |S| image reads when the first
-    generator that moves 0 has an n-cycle, at most n |S| + n - 1 otherwise,
-    and no True short of the whole orbit."""
+    """The cycle walk's stop rules: exactly k + n image reads, and no
+    degree-sized array, when the first generator that moves 0 has an
+    n-cycle and k generators come before it (so at most n - 1 + |S|); at
+    most n |S| + n - 1 otherwise; and no True short of the whole orbit."""
 
     @pytest.mark.parametrize("n", [2, 3, 7, 16, 101])
     def test_an_n_cycle_ahead_of_every_generator_moving_0(self, n):
@@ -374,6 +386,62 @@ class TestTransitivityWalk:
                 gens = GeneratorSet(n, perms)
                 assert len(reference_orbit(perms, 0)) <= n - 1
                 assert not is_transitive(gens)
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 16, 101])
+    def test_an_n_cycle_after_k_generators_fixing_0_reads_k_plus_n(self, n):
+        rng = random.Random(f"k+n/{n}")
+        for k in range(4):
+            cycle = Permutation.from_cycles(n, [random_cycle(range(n), rng)])
+            fixing = [fixing_0(n, rng) for _ in range(k)]
+            moving = [random_involution(n, range(n), rng) for _ in range(2)]
+            for perms in ([*fixing, cycle], [*fixing, cycle, *moving, *fixing]):
+                gens, reads = counted(perms)
+                assert is_transitive(gens)
+                assert reads[0] == k + n
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 16, 101])
+    def test_an_n_cycle_or_a_lone_generator_builds_no_array(self, n, monkeypatch):
+        def no_array(*args):
+            raise AssertionError(f"bytearray{args} built")
+
+        rng = random.Random(f"no-array/{n}")
+        sets = []
+        for k in range(4):
+            cycle = Permutation.from_cycles(n, [random_cycle(range(n), rng)])
+            moving = [random_involution(n, range(n), rng) for _ in range(2)]
+            sets.append(([*(fixing_0(n, rng) for _ in range(k)), cycle, *moving], True))
+            # one generator whose cycle through 0 misses a point
+            sets.append(([Permutation.from_cycles(n, [random_cycle(range(n - 1), rng)])], False))
+        for spec in ("cyclic(257)", "dihedral(263)"):
+            gens = build(parse_spec(spec))
+            sets += [(gens.generators, True), (relabel(gens, rng).generators, True)]
+        monkeypatch.setattr(perm_module, "bytearray", no_array, raising=False)
+        for perms, transitive in sets:
+            assert is_transitive(GeneratorSet(perms[0].degree, perms)) == transitive
+
+    @pytest.mark.parametrize("n", [3, 4, 7, 16, 101])
+    def test_a_first_cycle_short_of_n_falls_back_to_the_whole_walk(self, n):
+        rng = random.Random(f"fallback/{n}")
+        for _ in range(10):
+            # the first generator moving 0 has an (n - 1)-cycle or a
+            # 2-cycle through 0, and a later generator completes the orbit
+            missing = rng.randrange(1, n)
+            rest = [p for p in range(n) if p != missing]
+            long = Permutation.from_cycles(n, [random_cycle(rest, rng)])
+            joiner = perm(n, (missing, rng.choice(rest)))
+            short = perm(n, (0, rng.randrange(1, n)))
+            cycle = Permutation.from_cycles(n, [random_cycle(range(n), rng)])
+            fixing = [fixing_0(n, rng) for _ in range(2)]
+            for perms in (
+                [long, joiner],
+                [fixing[0], long, fixing[1], joiner],
+                [short, cycle],
+                [*fixing, short, joiner, cycle],
+            ):
+                gens, reads = counted(perms)
+                assert len(reference_orbit(perms, 0)) == n
+                assert is_transitive(gens)
+                assert reads[0] <= n * len(perms) + n - 1
 
 
 class TestValidation:

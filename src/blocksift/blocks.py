@@ -12,7 +12,7 @@ the project-wide oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import index, itemgetter
 from typing import Iterable, Literal
 
 from .perm import GeneratorSet, Permutation, is_transitive, point_table
@@ -25,62 +25,38 @@ class InternalError(RuntimeError):
 
 @dataclass
 class BlockSystem:
-    """An equal-cell partition of the points, preserved by the group."""
+    """An equal-cell partition of the points, preserved by the group.
+
+    ``blocks`` holds the cells, each a sorted list of points; the
+    constructor sorts them and checks that they partition 0..degree-1.
+    """
 
     degree: int
-    block_of: list[int]
     blocks: list[list[int]]
 
     def __post_init__(self):
-        if len(self.block_of) != self.degree:
-            raise ValueError("block_of must cover every point")
-        sizes = {len(b) for b in self.blocks}
-        if len(sizes) != 1:
+        # index admits ints only, so 1.0 cannot stand in for point 1
+        self.blocks = [sorted(map(index, b)) for b in self.blocks]
+        if len({len(b) for b in self.blocks}) != 1:
             raise ValueError("blocks must have equal size")
-        counted = sorted(p for b in self.blocks for p in b)
-        if counted != list(range(self.degree)):
+        if sorted(p for b in self.blocks for p in b) != list(range(self.degree)):
             raise ValueError("blocks must partition the points")
-        for bid, b in enumerate(self.blocks):
-            for p in b:
-                if self.block_of[p] != bid:
-                    raise ValueError("block_of inconsistent with blocks")
 
     @classmethod
-    def _unchecked(
-        cls, degree: int, block_of: list[int], blocks: list[list[int]]
-    ) -> "BlockSystem":
-        """Wrap a system already known to be an equal-cell partition.
+    def _unchecked(cls, degree: int, blocks: list[list[int]]) -> "BlockSystem":
+        """Wrap sorted cells already known to be an equal-cell partition.
 
         For systems assembled inside this module only, each proven by its
         construction and an explicit postcondition; it skips the re-check
         that ``BlockSystem(...)`` runs on outside input.
         """
         bs = object.__new__(cls)
-        bs.degree, bs.block_of, bs.blocks = degree, block_of, blocks
+        bs.degree, bs.blocks = degree, blocks
         return bs
 
     @property
-    def num_blocks(self) -> int:
-        return len(self.blocks)
-
-    @property
-    def block_size(self) -> int:
-        return len(self.blocks[0])
-
-    @property
     def nontrivial(self) -> bool:
-        return 1 < self.block_size < self.degree
-
-    @classmethod
-    def from_blocks(cls, degree: int, blocks: Iterable[Iterable[int]]) -> "BlockSystem":
-        blocks = [sorted(b) for b in blocks]
-        block_of = [-1] * degree
-        for bid, b in enumerate(blocks):
-            for p in b:
-                if not 0 <= p < degree or block_of[p] != -1:
-                    raise ValueError("blocks must partition the points")
-                block_of[p] = bid
-        return cls(degree, block_of, blocks)
+        return 1 < len(self.blocks[0]) < self.degree
 
 
 @dataclass
@@ -251,7 +227,7 @@ def blockness_test(gens: GeneratorSet, delta: Iterable[int], alpha: int) -> Bloc
     # with the count above, this is every property BlockSystem checks
     if block_of.count(-1) or any(len(cell) != size for cell in cells):
         raise InternalError("assembled translates must partition the points")
-    return BlocknessResult("is_block", system=BlockSystem._unchecked(n, block_of, cells))
+    return BlocknessResult("is_block", system=BlockSystem._unchecked(n, cells))
 
 
 def _path(parent: list[tuple[int, Permutation] | None], b: int) -> list[Permutation]:
@@ -283,17 +259,21 @@ def atkinson_baseline(gens: GeneratorSet) -> BlockSystem | None:
 
 
 def validate_block_system(gens: GeneratorSet, bs: BlockSystem) -> bool:
-    """True iff bs is an equal-cell partition permuted by every generator."""
+    """True iff bs is an equal-cell partition permuted by every generator.
+    A malformed system, of non-int points or of no cells, is False."""
     if gens.degree != bs.degree:
         return False
     try:
-        BlockSystem(bs.degree, bs.block_of, bs.blocks)
-    except ValueError:
+        cells = BlockSystem(bs.degree, bs.blocks).blocks
+    except (TypeError, ValueError):
         return False
+    block_of = [0] * bs.degree
+    for bid, cell in enumerate(cells):
+        for p in cell:
+            block_of[p] = bid
     for g in gens.generators:
         arr = g.images
-        for b in bs.blocks:
-            ids = {bs.block_of[arr[p]] for p in b}
-            if len(ids) != 1:
+        for cell in cells:
+            if len({block_of[arr[p]] for p in cell}) != 1:
                 return False
     return True

@@ -96,9 +96,6 @@ class Permutation:
             self._inv._inv = self
         return self._inv
 
-    def is_identity(self) -> bool:
-        return all(v == p for p, v in enumerate(self.images))
-
     def cycles(self) -> list[tuple[int, ...]]:
         """Disjoint cycle decomposition, fixed points omitted."""
         out = []

@@ -85,20 +85,17 @@ class SiftOutcome:
 class SiftState:
     """Single-owner mutable deep-sifting state with base-size cap L."""
 
-    def __init__(self, n: int, cap: int, levels: list[Level]):
-        self.n = n
-        self.cap = cap
-        self.levels = levels
-        self.sift_count = 0
-
-    @classmethod
-    def init_state(cls, n: int, cap: int, seed: Permutation, beta1: int) -> "SiftState":
+    def __init__(self, n: int, cap: int, seed: Permutation, beta1: int):
+        """One level, X_1 = [seed] at base point beta1, which seed must move."""
         check_cap(cap)
         if seed.degree != n:
             raise ValueError("seed degree mismatch")
         if seed.images[beta1] == beta1:
             raise ValueError("seed must move the first base point")
-        return cls(n, cap, [Level(beta1, seed)])
+        self.n = n
+        self.cap = cap
+        self.levels = [Level(beta1, seed)]
+        self.sift_count = 0
 
     @property
     def level_count(self) -> int:

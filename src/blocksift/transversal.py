@@ -82,7 +82,7 @@ def build_point_transversal(
     seed = next((g for g in gens.generators if g.images[alpha] != alpha), None)
     if seed is None:
         raise ValueError("alpha is fixed by every generator")
-    state = SiftState.init_state(gens.degree, cap, seed, alpha)
+    state = SiftState(gens.degree, cap, seed, alpha)
     return state, _close_transversal(state, gens.generators, on_sift)
 
 

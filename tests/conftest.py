@@ -82,8 +82,11 @@ def relabel(gens: GeneratorSet, rng: random.Random, extra: int = 0) -> Generator
 def reference_orbit(actions, start, limit=None):
     """Closure of {start} by a deque BFS over ``apply``, for any number of
     permutations or words: the reference point set, visiting order and
-    ``limit`` cut for orbit walks."""
+    ``limit`` cut for orbit walks, which stop once they hold more than
+    ``limit`` points (``[start]`` at limit 0)."""
     limit = actions[0].degree if limit is None else limit
+    if limit < 1:
+        return [start]
     seen, out, queue = {start}, [start], deque([start])
     while queue:
         p = queue.popleft()

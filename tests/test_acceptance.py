@@ -109,7 +109,7 @@ def test_criterion_3_deep_sift_invariants():
         name, gens = groups[sifts % len(groups)]
         n = gens.degree
         seed = next(g for g in gens.generators if g.images[0] != 0)
-        state = SiftState.init_state(n, n, seed, 0)
+        state = SiftState(n, n, seed, 0)
         for _ in range(40):
             g = random_element(gens, rng)
             out = state.deep_sift(g)
@@ -161,7 +161,7 @@ def test_criterion_5_lemma_checks_small():
         gens = groups[rng.randrange(len(groups))]
         n = gens.degree
         seed = next(g for g in gens.generators if g.images[0] != 0)
-        state = SiftState.init_state(n, n, seed, 0)
+        state = SiftState(n, n, seed, 0)
         for _ in range(12):
             g = random_element(gens, rng)
             entry = next(

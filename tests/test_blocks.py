@@ -148,23 +148,51 @@ class TestAtkinsonBaseline:
 
 class TestValidateBlockSystem:
     def test_good_system(self):
-        bs = BlockSystem.from_blocks(4, [[0, 2], [1, 3]])
+        bs = BlockSystem(4, [[0, 2], [1, 3]])
         assert validate_block_system(C4, bs)
+        # each cell comes out sorted, the cells in their given order
+        assert BlockSystem(4, ([2, 0], (3, 1))) == bs
 
     def test_unpreserved_system(self):
-        bs = BlockSystem.from_blocks(4, [[0, 1], [2, 3]])
+        bs = BlockSystem(4, [[0, 1], [2, 3]])
         assert not validate_block_system(C4, bs)
 
     def test_singletons_valid_but_trivial(self):
-        bs = BlockSystem.from_blocks(4, [[p] for p in range(4)])
+        bs = BlockSystem(4, [[p] for p in range(4)])
         assert validate_block_system(C4, bs)
         assert not bs.nontrivial
 
     def test_malformed_partition_rejected(self):
         with pytest.raises(ValueError):
-            BlockSystem.from_blocks(4, [[0, 1], [1, 2, 3]])
+            BlockSystem(4, [[0, 1], [1, 2, 3]])
         with pytest.raises(ValueError):
-            BlockSystem.from_blocks(4, [[0, 1, 2], [3]])  # unequal cells
+            BlockSystem(4, [[0, 1, 2], [3]])  # unequal cells
+        with pytest.raises(ValueError):
+            BlockSystem(4, [[0, 4], [1, 2]])  # a point out of range
+        # 1.0 == 1, yet a float is no point
+        with pytest.raises(TypeError):
+            BlockSystem(4, [[0, 2], [1.0, 3]])
+        with pytest.raises(TypeError):
+            BlockSystem(4, [[0, 2], ["a", 3]])
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("blocks", [[0, 2], ["a", 3]]),
+            ("blocks", [[0, 2], [1.0, 3]]),
+            ("blocks", [[0, 2], 1]),
+            ("blocks", None),
+            ("blocks", []),
+            ("blocks", [[0, 2], [1, 1]]),
+            ("degree", 4.0),
+        ],
+    )
+    def test_malformed_system_is_false_not_an_error(self, field, value):
+        # a system changed after its checked construction is answered,
+        # never raised on
+        bs = BlockSystem(4, [[0, 2], [1, 3]])
+        setattr(bs, field, value)
+        assert validate_block_system(C4, bs) is False
 
 
 def test_minimal_block_matches_partition_oracle_small(small_corpus):
@@ -207,7 +235,7 @@ def test_assembled_systems_equal_the_checked_construction(full_corpus, monkeypat
                 if res.kind != "is_block":
                     continue
                 bs = res.system
-                assert bs == BlockSystem.from_blocks(g.degree, bs.blocks), entry.name
+                assert bs == BlockSystem(g.degree, bs.blocks), entry.name
                 assert bs.blocks[0] == delta, entry.name
                 assert all(type(cell) is list for cell in bs.blocks)
                 assert validate_block_system(g, bs), entry.name

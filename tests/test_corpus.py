@@ -97,7 +97,7 @@ class TestBuilders:
     def test_wreath_canonical_blocks_are_blocks(self):
         gens = build(parse_spec("wreath(alternating(8),2)"))
         cells = [list(range(8)), list(range(8, 16))]  # one per inner copy
-        bs = BlockSystem.from_blocks(16, cells)
+        bs = BlockSystem(16, cells)
         assert validate_block_system(gens, bs)
 
     def test_wreath_is_imprimitive(self):

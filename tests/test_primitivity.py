@@ -157,7 +157,7 @@ class TestForcedCapFallback:
         assert len(v.certificate) == 3
         bs = find_blocks_from_certificate(gens, v.certificate)
         assert bs is not None and validate_block_system(gens, bs)
-        assert bs.num_blocks == 2 and bs.block_size == 64
+        assert len(bs.blocks) == 2 and len(bs.blocks[0]) == 64
 
 
 def _route_and_verdict(monkeypatch, gens, cap):

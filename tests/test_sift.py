@@ -25,37 +25,37 @@ from conftest import (
 
 def two_level_state():
     """The worked two-level fixture: sift (0 1)(2 3) into a C4-seeded state."""
-    state = SiftState.init_state(4, 4, perm(4, (0, 1, 2, 3)), 0)
+    state = SiftState(4, 4, perm(4, (0, 1, 2, 3)), 0)
     outcome = state.deep_sift(perm(4, (0, 1), (2, 3)))
     return state, outcome
 
 
 class TestInitState:
     def test_four_cycle(self):
-        state = SiftState.init_state(4, 4, perm(4, (0, 1, 2, 3)), 0)
+        state = SiftState(4, 4, perm(4, (0, 1, 2, 3)), 0)
         assert base_points(state) == [0]
         assert set(state.levels[0].points) == {0, 1}
 
     def test_smallest_case_hits_bound(self):
-        state = SiftState.init_state(2, 1, perm(2, (0, 1)), 0)
+        state = SiftState(2, 1, perm(2, (0, 1)), 0)
         assert set(state.levels[0].points) == {0, 1}
         assert len(state.levels[0].elems) == 1  # == ceil(log2 2)
 
     def test_fixed_seed_rejected(self):
         with pytest.raises(ValueError):
-            SiftState.init_state(4, 4, Permutation.identity(4), 0)
+            SiftState(4, 4, Permutation.identity(4), 0)
 
 
 class TestDeepSift:
     def test_identity_is_noop(self):
-        state = SiftState.init_state(4, 4, perm(4, (0, 1, 2, 3)), 0)
+        state = SiftState(4, 4, perm(4, (0, 1, 2, 3)), 0)
         before = dump_state(state)
         out = state.deep_sift(Permutation.identity(4))
         assert out.kind == "sifted_to_identity"
         assert dump_state(state)["levels"] == before["levels"]
 
     def test_disjoint_translate_appends(self):
-        state = SiftState.init_state(4, 4, perm(4, (0, 1, 2, 3)), 0)
+        state = SiftState(4, 4, perm(4, (0, 1, 2, 3)), 0)
         out = state.deep_sift(perm(4, (0, 2), (1, 3)))
         assert out.kind == "appended" and state.level_count == 1
         assert state.levels[0].elems[-1] is out.terminal
@@ -75,18 +75,18 @@ class TestDeepSift:
         assert out.terminal in stab0
 
     def test_witness_reconstructs_input(self):
-        state = SiftState.init_state(4, 4, perm(4, (0, 1, 2, 3)), 0)
+        state = SiftState(4, 4, perm(4, (0, 1, 2, 3)), 0)
         g = perm(4, (0, 1), (2, 3))
         out = state.deep_sift(g)
         assert reconstruct(out) == g
 
     def test_degree_mismatch(self):
-        state = SiftState.init_state(4, 4, perm(4, (0, 1, 2, 3)), 0)
+        state = SiftState(4, 4, perm(4, (0, 1, 2, 3)), 0)
         with pytest.raises(ValueError):
             state.deep_sift(Permutation.identity(5))
 
     def test_cap_guard(self):
-        state = SiftState.init_state(3, 1, perm(3, (0, 1)), 0)
+        state = SiftState(3, 1, perm(3, (0, 1)), 0)
         state.deep_sift(perm(3, (1, 2)))  # opens level 2 = cap + 1
         assert state.level_count == 2
         with pytest.raises(ValueError):
@@ -95,7 +95,7 @@ class TestDeepSift:
 
 class TestCertificate:
     def test_single_level(self):
-        state = SiftState.init_state(4, 4, perm(4, (0, 1, 2, 3)), 0)
+        state = SiftState(4, 4, perm(4, (0, 1, 2, 3)), 0)
         cert = state.certificate()
         assert cert.entries == [(0, perm(4, (0, 1, 2, 3)))]
         assert cert.validate()
@@ -112,7 +112,7 @@ class TestCertificate:
 
 class TestLevelDeepOrbit:
     def test_single_transposition(self):
-        state = SiftState.init_state(2, 2, perm(2, (0, 1)), 0)
+        state = SiftState(2, 2, perm(2, (0, 1)), 0)
         pts, _ = state.level_deep_orbit(1)
         assert set(pts) == {0, 1}
 
@@ -178,7 +178,7 @@ def test_random_sift_invariants(name, gens, order):
     n = gens.degree
     for trial in range(20):
         seed = next(g for g in gens.generators if g.images[0] != 0)
-        state = SiftState.init_state(n, n, seed, 0)
+        state = SiftState(n, n, seed, 0)
         total = state.sum_xi()
         for _ in range(25):
             g = random_element(gens, rng)
@@ -203,7 +203,7 @@ def test_deep_cube_lemmas_small(name, gens, order):
     checked = 0
     for trial in range(10):
         seed = next(g for g in gens.generators if g.images[0] != 0)
-        state = SiftState.init_state(n, n, seed, 0)
+        state = SiftState(n, n, seed, 0)
         for _ in range(15):
             g = random_element(gens, rng)
             entry = next(
@@ -265,7 +265,7 @@ def test_stored_elements_pass_checked_construction(full_corpus, monkeypatch):
                 for g in walked.values():
                     assert Permutation(list(g.images)) == g
                     inv = Permutation(list(g.inverse().images))
-                    assert (g * inv).is_identity()
+                    assert g * inv == Permutation.identity(g.degree)
                     assert g.inverse().inverse() is g
                     checked += 1
                 validate_state(state)

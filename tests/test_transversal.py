@@ -92,7 +92,7 @@ def test_missing_hook_changes_nothing():
 
 class TestBuildScopedTransversal:
     def _seeded_state(self, n, seed, alpha=0, cap=None):
-        return SiftState.init_state(n, cap or n, seed, alpha)
+        return SiftState(n, cap or n, seed, alpha)
 
     def test_single_cycle_closure(self):
         state = self._seeded_state(4, perm(4, (0, 1, 2, 3)))
@@ -108,7 +108,7 @@ class TestBuildScopedTransversal:
         assert set(scoped.points) == {0, 1}
 
     def test_cap_already_reached(self):
-        state = SiftState.init_state(3, 1, perm(3, (0, 1)), 0)
+        state = SiftState(3, 1, perm(3, (0, 1)), 0)
         state.deep_sift(perm(3, (1, 2)))  # level count -> 2 = cap + 1
         assert state.capped
         _, rmap = state.level_deep_orbit(1)
@@ -178,7 +178,7 @@ def test_queue_pairs_become_closed():
             6, [perm(6, (0, 1, 2, 3, 4, 5)), perm(6, (0, 3), (1, 4), (2, 5))]
         )
         extra = random_element(base, rng)
-        gens = GeneratorSet(6, base.generators + ([extra] if not extra.is_identity() else []))
+        gens = GeneratorSet(6, base.generators + ([extra] if extra != Permutation.identity(6) else []))
         _, rmap = build_point_transversal(gens, 0, 6)
         assert rmap is not None
         oset = set(rmap.points)

@@ -56,7 +56,7 @@ def test_oracle_counts_no_mismatch_and_catches_one():
     assert tool.oracle_mismatch(c6, Verdict("primitive"), blocks)
     assert tool.oracle_mismatch(s3, Verdict("blocks", blocks=blocks), None)
     # a system of the right shape that the group does not preserve
-    moved = BlockSystem.from_blocks(6, [[0, 1], [2, 3], [4, 5]])
+    moved = BlockSystem(6, [[0, 1], [2, 3], [4, 5]])
     assert tool.oracle_mismatch(c6, Verdict("blocks", blocks=moved), blocks)
     assert not tool.oracle_mismatch(c6, Verdict("partial_base"), blocks)
 

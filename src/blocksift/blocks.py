@@ -12,6 +12,7 @@ the project-wide oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from operator import index, itemgetter
 from typing import Iterable, Literal
 
@@ -166,9 +167,8 @@ def blockness_test(gens: GeneratorSet, delta: Iterable[int], alpha: int) -> Bloc
     lies in delta^w', at position j, gives beta = delta[i] and
     gamma = delta[j]: beta is the least point of the candidate that g1
     maps into it, found without evaluating or applying g1.
-    The cells of the system are assembled from ``block_of`` in one pass
-    and checked by an O(n) postcondition, not by ``BlockSystem``'s own
-    check, which is kept for systems from outside.
+    The system is checked by a postcondition on its cell sizes, not by
+    ``BlockSystem``'s own check, which is kept for systems from outside.
 
     When |delta| divides n, the walk stops before the last block, number
     m - 1 for m = n / |delta|. At that point the m translates found are
@@ -177,6 +177,11 @@ def blockness_test(gens: GeneratorSet, delta: Iterable[int], alpha: int) -> Bloc
     each of them onto a block; being a bijection, it maps them onto m - 1
     distinct blocks, and so it maps block m - 1 onto the one block left.
     Walking block m - 1 could thus give neither a witness nor a new block.
+    Block m - 1 stays at -1 in ``block_of``, since its points are exactly
+    those left there: once it is found, an image of all -1 ids equals it,
+    and a split image meets a block at its first point, as with every
+    point marked. The cells are assembled in one pass, -1 indexing the
+    last; two cells are the candidate and, by ``compress``, the points at -1.
     """
     n = gens.degree
     delta = sorted(set(delta))
@@ -194,10 +199,10 @@ def blockness_test(gens: GeneratorSet, delta: Iterable[int], alpha: int) -> Bloc
     parent: list[tuple[int, Permutation] | None] = [None]  # (parent block id, generator)
     for p in delta:
         block_of[p] = 0
-    last = n // size - 1 if n % size == 0 else -1
+    m = n // size if n % size == 0 else 0
     # blocks are walked in creation order while new translates are appended
     for b, pts in enumerate(blocks):
-        if b == last:
+        if b == m - 1:
             break  # the implied last translate, see above
         take = itemgetter(*pts)  # at least 2 points, so it returns a tuple
         for g in gens.generators:
@@ -205,27 +210,32 @@ def blockness_test(gens: GeneratorSet, delta: Iterable[int], alpha: int) -> Bloc
             ids = itemgetter(*img)(block_of)
             c = ids[0]
             if ids.count(c) == size:
-                if c == -1:
+                if c == -1 and len(blocks) != m:
                     bid = len(blocks)
                     blocks.append(img)
                     parent.append((b, g))
-                    for p in img:
-                        block_of[p] = bid
+                    if bid != m - 1:  # the last block stays at -1, see above
+                        for p in img:
+                            block_of[p] = bid
                 # new, or inside one block and so equal to it: all have |delta| points
                 continue
-            i, c = next((i, c) for i, c in enumerate(ids) if c != -1)
+            i = 0 if len(blocks) == m else next(i for i, c in enumerate(ids) if c != -1)
+            c = ids[i]  # with all m found, every point is in a block, -1 the last
             j = blocks[c].index(img[i])
             letters = _path(parent, b) + [g] + [x.inverse() for x in reversed(_path(parent, c))]
             witness = BlockWitness(delta[i], delta[j], Word(n, letters))
             return BlocknessResult("not_block", witness=witness)
     if len(blocks) * size != n:
         raise ValueError("blockness_test requires a transitive group: the translates miss a point")
-    # points ascend, so each cell comes out sorted
-    cells: list[list[int]] = [[] for _ in blocks]
-    for p, bid in zip(point_table(n), block_of):
-        cells[bid].append(p)
-    # with the count above, this is every property BlockSystem checks
-    if block_of.count(-1) or any(len(cell) != size for cell in cells):
+    if m == 2:
+        cells = [delta, list(compress(point_table(n), block_of))]
+    else:
+        # points ascend, so each cell comes out sorted
+        cells = [[] for _ in blocks]
+        for p, bid in zip(point_table(n), block_of):
+            cells[bid].append(p)
+    # each point went to one cell: with the count above, this is all BlockSystem checks
+    if any(len(cell) != size for cell in cells):
         raise InternalError("assembled translates must partition the points")
     return BlocknessResult("is_block", system=BlockSystem._unchecked(n, cells))
 

@@ -14,7 +14,7 @@ for the process: about 36 bytes × (up to 2 × the largest degree seen).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress, repeat
+from itertools import compress, islice, repeat
 from operator import itemgetter
 from typing import Iterable, Sequence
 
@@ -329,6 +329,8 @@ def is_transitive(gens: GeneratorSet) -> bool:
     answers either way. Otherwise held points are taken in discovery order,
     and from each, each generator's cycle is followed until it meets a held
     point: at most n |S| + n - 1 reads, each adding a point or ending a walk.
+    The walked generator maps its cycle into itself, so from the cycle's
+    points only the other generators are followed.
     """
     n = gens.degree
     arrays = [g.images for g in gens.generators]
@@ -344,13 +346,15 @@ def is_transitive(gens: GeneratorSet) -> bool:
     seen = bytearray(n)
     for p in held:
         seen[p] = 1
-    for p in held:  # grows while it is walked
-        for arr in arrays:
-            q = arr[p]
-            while not seen[q]:
-                seen[q] = 1
-                held.append(q)
-                q = arr[q]
-        if len(held) == n:
-            return True
+    cycle, others = len(held), [a for a in arrays if a is not arr]
+    for points, walked in (held[:cycle], others), (islice(held, cycle, None), arrays):
+        for p in points:  # held grows while it is walked
+            for arr in walked:
+                q = arr[p]
+                while not seen[q]:
+                    seen[q] = 1
+                    held.append(q)
+                    q = arr[q]
+            if len(held) == n:
+                return True
     return False

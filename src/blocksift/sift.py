@@ -144,14 +144,16 @@ class SiftState:
             lv = self.levels[idx]
             img = g.images
             held = lv.parent
-            inter = [q for q in map(img.__getitem__, lv.points) if held[q] >= 0]
+            # images are distinct, so the least (image, point) pair into
+            # Delta_i holds the least image lam and its preimage: no img search
+            inter = [(q, p) for p in lv.points if held[q := img[p]] >= 0]
             if not inter:
                 # g translates Delta_i off itself, so appending it doubles Delta_i
                 lv.expand(g)
                 lv.elems.append(g)
                 return SiftOutcome("appended", chain, g)
-            lam = min(inter)
-            s = lv.word(img.index(lam))
+            lam, pre = min(inter)
+            s = lv.word(pre)
             t = lv.word(lam)
             chain.append((s, t))
             # s g t^-1 as one word: an empty s or t costs no identity product

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from blocksift import blocks, primitivity
 from blocksift.blocks import (
@@ -10,7 +11,7 @@ from blocksift.blocks import (
     minimal_block,
     validate_block_system,
 )
-from blocksift.perm import GeneratorSet
+from blocksift.perm import GeneratorSet, Permutation, is_transitive
 from blocksift.primitivity import primitivity_main, ss_uncapped
 from conftest import perm, relabel, smallest_invariant_class
 
@@ -220,7 +221,7 @@ def test_assembled_systems_equal_the_checked_construction(full_corpus, monkeypat
 
     monkeypatch.setattr(blocks, "blockness_test", recording)
     monkeypatch.setattr(primitivity, "blockness_test", recording)
-    hits = 0
+    hits = two_cells = 0
     for entry in full_corpus:
         for extra in range(-1, 3):
             gens = entry.gens if extra < 0 else relabel(
@@ -240,7 +241,10 @@ def test_assembled_systems_equal_the_checked_construction(full_corpus, monkeypat
                 assert all(type(cell) is list for cell in bs.blocks)
                 assert validate_block_system(g, bs), entry.name
                 hits += 1
+                two_cells += len(bs.blocks) == 2
     assert hits > 450  # all four callers: tries, scan, fallback, baseline
+    # two cells are assembled by compress, not by the per-point pass
+    assert two_cells > 300
 
 
 def reference_blockness(gens, delta, alpha):
@@ -279,6 +283,21 @@ def reference_blockness(gens, delta, alpha):
     return ("is_block", [sorted(cell) for cell in blocks])
 
 
+def assert_blockness_matches_the_reference(gens, delta, alpha):
+    """``blockness_test`` answers as ``reference_blockness``, down to the
+    witness letters; returns the kind."""
+    res, ref = blockness_test(gens, delta, alpha), reference_blockness(gens, delta, alpha)
+    assert res.kind == ref[0]
+    if res.kind == "is_block":
+        assert res.system.blocks == ref[1]
+    else:
+        wit = res.witness
+        assert (wit.beta, wit.gamma) == ref[1:3]
+        assert len(wit.word.letters) == len(ref[3])
+        assert all(a is b for a, b in zip(wit.word.letters, ref[3]))
+    return res.kind
+
+
 def test_blockness_matches_a_walk_of_every_block(full_corpus, monkeypatch):
     # blockness_test stops before the last of n/|delta| translates; on every
     # candidate the drivers and the baseline test, hits and misses alike,
@@ -301,18 +320,7 @@ def test_blockness_matches_a_walk_of_every_block(full_corpus, monkeypatch):
             ss_uncapped(gens)
             primitivity._capped_driver(gens, 1, "partial_base")
             atkinson_baseline(gens)
-    kinds = set()
-    for gens, delta, alpha in calls:
-        res, ref = real(gens, delta, alpha), reference_blockness(gens, delta, alpha)
-        kinds.add(res.kind)
-        assert res.kind == ref[0]
-        if res.kind == "is_block":
-            assert res.system.blocks == ref[1]
-        else:
-            wit = res.witness
-            assert (wit.beta, wit.gamma) == ref[1:3]
-            assert len(wit.word.letters) == len(ref[3])
-            assert all(a is b for a, b in zip(wit.word.letters, ref[3]))
+    kinds = {assert_blockness_matches_the_reference(*call) for call in calls}
     assert kinds == {"is_block", "not_block"}
     # {0, 3} has all 3 translates once block 0 is walked, and the first
     # generator splits the second one: a stop any earlier misses it
@@ -324,6 +332,57 @@ def test_blockness_matches_a_walk_of_every_block(full_corpus, monkeypatch):
     for test in (real, reference_blockness):
         with pytest.raises(ValueError):
             test(two_cycles, {0, 2}, 0)
+
+
+def test_a_split_after_the_last_translate_is_found_at_the_first_point():
+    # the last translate is left unmarked; once it is found, a split image
+    # meets a block at its first point, whose id -1 names the last block.
+    # {0, 2, 4, 5} has both translates after the first generator, and the
+    # second splits the first block at positions 0 and 2: reading the
+    # witness at the first marked point would give (5, 5)
+    gens = GeneratorSet(8, [Permutation((3, 0, 1, 4, 6, 7, 2, 5)),
+                            Permutation((6, 7, 1, 4, 3, 5, 2, 0))])
+    assert reference_blockness(gens, {0, 2, 4, 5}, 0)[:3] == ("not_block", 0, 4)
+    assert assert_blockness_matches_the_reference(gens, {0, 2, 4, 5}, 0) == "not_block"
+
+
+@st.composite
+def transitive_groups(draw):
+    """A transitive group of degree 3..12 and the cell through 0 of a random
+    partition into cells of a random size dividing n. Each generator either
+    permutes the cells or is a random permutation, so the cell can be a
+    block, or fail only once its translates partition the points."""
+    n = draw(st.integers(3, 12))
+    k = draw(st.sampled_from([d for d in range(2, n) if n % d == 0] or [1]))
+    label = draw(st.permutations(range(n)))  # cell i is label[i*k:(i+1)*k]
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            cells = draw(st.permutations(range(n // k)))
+            images = [0] * n
+            for i, c in enumerate(cells):
+                within = draw(st.permutations(range(k)))
+                for j, w in enumerate(within):
+                    images[label[i * k + j]] = label[c * k + w]
+        else:
+            images = draw(st.permutations(range(n)))
+        gens.append(Permutation(images))
+    group = GeneratorSet(n, gens)
+    assume(is_transitive(group))
+    i = label.index(0) // k
+    return group, set(label[i * k:(i + 1) * k])
+
+
+@settings(max_examples=300, deadline=None)
+@given(transitive_groups(), st.data())
+def test_blockness_matches_the_reference_on_random_groups(case, data):
+    gens, cell = case
+    n = gens.degree
+    rest = data.draw(st.permutations(range(1, n)))
+    size = data.draw(st.integers(2, n - 1))
+    delta = data.draw(st.sampled_from([cell, {0, *rest[:size - 1]}]))
+    assume(len(delta) > 1)
+    assert_blockness_matches_the_reference(gens, delta, 0)
 
 
 def closure_to_the_end(gens, seed):

@@ -419,6 +419,17 @@ class TestTransitivityWalk:
         for perms, transitive in sets:
             assert is_transitive(GeneratorSet(perms[0].degree, perms)) == transitive
 
+    @pytest.mark.parametrize("n", [3, 16, 101, 1009])
+    def test_the_walked_cycle_is_not_walked_again(self, n):
+        # the cycle 0 -> 1 -> ... -> n - 2 is walked in n - 1 reads; from its
+        # points the fallback then reads only the transposition (n-2 n-1),
+        # once per point and once more from n - 1: 2n - 1 reads in all, where
+        # walking the cycle again from each of its points reads 3n - 2
+        cycle = Permutation((*range(1, n - 1), 0, n - 1))
+        gens, reads = counted([cycle, perm(n, (n - 2, n - 1))])
+        assert is_transitive(gens)
+        assert reads[0] == 2 * n - 1
+
     @pytest.mark.parametrize("n", [3, 4, 7, 16, 101])
     def test_a_first_cycle_short_of_n_falls_back_to_the_whole_walk(self, n):
         rng = random.Random(f"fallback/{n}")

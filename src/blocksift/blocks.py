@@ -11,7 +11,6 @@ the project-wide oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress
 from operator import index, itemgetter
 from typing import Iterable, Literal
@@ -24,7 +23,6 @@ class InternalError(RuntimeError):
     """A driver invariant failed: a fault in the library, not in its input."""
 
 
-@dataclass
 class BlockSystem:
     """An equal-cell partition of the points, preserved by the group.
 
@@ -32,15 +30,14 @@ class BlockSystem:
     constructor sorts them and checks that they partition 0..degree-1.
     """
 
-    degree: int
-    blocks: list[list[int]]
+    __slots__ = ("degree", "blocks")
 
-    def __post_init__(self):
+    def __init__(self, degree: int, blocks: list[list[int]]):
         # index admits ints only, so 1.0 cannot stand in for point 1
-        self.blocks = [sorted(map(index, b)) for b in self.blocks]
+        self.degree, self.blocks = degree, [sorted(map(index, b)) for b in blocks]
         if len({len(b) for b in self.blocks}) != 1:
             raise ValueError("blocks must have equal size")
-        if sorted(p for b in self.blocks for p in b) != list(range(self.degree)):
+        if sorted(p for b in self.blocks for p in b) != list(range(degree)):
             raise ValueError("blocks must partition the points")
 
     @classmethod
@@ -59,8 +56,11 @@ class BlockSystem:
     def nontrivial(self) -> bool:
         return 1 < len(self.blocks[0]) < self.degree
 
+    def __eq__(self, other: object) -> bool:
+        return (isinstance(other, BlockSystem) and self.degree == other.degree
+                and self.blocks == other.blocks)
 
-@dataclass
+
 class BlockWitness:
     """Evidence that a candidate set is not a block.
 
@@ -70,16 +70,18 @@ class BlockWitness:
     cache, like every other witness word.
     """
 
-    beta: int
-    gamma: int
-    word: Word
+    __slots__ = ("beta", "gamma", "word")
+
+    def __init__(self, beta: int, gamma: int, word: Word):
+        self.beta, self.gamma, self.word = beta, gamma, word
 
 
-@dataclass
 class BlocknessResult:
-    kind: Literal["is_block", "not_block"]
-    system: BlockSystem | None = None
-    witness: BlockWitness | None = None
+    __slots__ = ("kind", "system", "witness")
+
+    def __init__(self, kind: Literal["is_block", "not_block"], system: BlockSystem | None = None,
+                 witness: BlockWitness | None = None):
+        self.kind, self.system, self.witness = kind, system, witness
 
 
 class _UnionFind:

@@ -136,16 +136,8 @@ def _cmd_sift_trace(args) -> int:
 
     state, rmap = build_point_transversal(gens, 0, cap, on_sift=on_sift)
     final = {"cap": cap, "sifts": state.sift_count, **_level_summary(state.levels)}
-    print(
-        json.dumps(
-            {
-                "result": "partial_base" if rmap is None else "transversal",
-                "orbit": None if rmap is None else rmap.points,
-                "trace": trace,
-                "final": final,
-            }
-        )
-    )
+    result, orbit = ("partial_base", None) if rmap is None else ("transversal", rmap.points)
+    print(json.dumps({"result": result, "orbit": orbit, "trace": trace, "final": final}))
     return 0
 
 

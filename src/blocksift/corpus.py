@@ -16,8 +16,6 @@ from __future__ import annotations
 import math
 import re
 import sys
-from dataclasses import dataclass, field
-from importlib import resources
 from itertools import combinations
 from typing import Callable
 
@@ -26,14 +24,16 @@ from .perm import GeneratorSet, Permutation, is_transitive
 M24_ORDER = 244823040
 
 
-@dataclass
 class GroupSpec:
-    family: str
-    n: int | None = None
-    m: int | None = None
-    k: int | None = None
-    d: int | None = None
-    inner: "GroupSpec | None" = None
+    __slots__ = ("family", "n", "m", "k", "d", "inner")
+
+    def __init__(self, family: str, n: int | None = None, m: int | None = None,
+                 k: int | None = None, d: int | None = None, inner: GroupSpec | None = None):
+        self.family, self.n, self.m, self.k, self.d, self.inner = family, n, m, k, d, inner
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, GroupSpec) and all(
+            getattr(self, f) == getattr(other, f) for f in GroupSpec.__slots__)
 
     def describe(self) -> str:
         args = [a.describe() if isinstance(a, GroupSpec) else str(a) for a in _args(self)]
@@ -212,13 +212,13 @@ def product_action(m: int, d: int) -> GeneratorSet:
 
 def mathieu24() -> GeneratorSet:
     """The degree-24 Mathieu group, loaded from the checked-in data file."""
+    from importlib import resources  # it loads pathlib and tempfile: only when m24 is built
     from .ioformats import parse_generators
 
     text = resources.files("blocksift.data").joinpath("m24.txt").read_text()
     return parse_generators(text)
 
 
-@dataclass(frozen=True)
 class _Family:
     """One group family. ``params`` are its ``GroupSpec`` field names in
     spec-string order, where ``inner`` holds a nested spec. ``make``,
@@ -226,10 +226,11 @@ class _Family:
     built, as its degree or as its order. ``degree`` is quick for any
     params: past ``sys.maxsize`` it may return any larger number."""
 
-    params: tuple[str, ...]
-    make: Callable[..., GeneratorSet]
-    degree: Callable[..., int]
-    order: Callable[..., int | None]
+    __slots__ = ("params", "make", "degree", "order")
+
+    def __init__(self, params: tuple[str, ...], make: Callable[..., GeneratorSet],
+                 degree: Callable[..., int], order: Callable[..., int | None]):
+        self.params, self.make, self.degree, self.order = params, make, degree, order
 
 
 _FAMILIES = {
@@ -297,12 +298,11 @@ def spec_order(spec: GroupSpec) -> int | None:
     return None if None in args else _FAMILIES[spec.family].order(*args)
 
 
-@dataclass
 class CorpusEntry:
-    name: str
-    spec: GroupSpec
-    order: int | None
-    gens: GeneratorSet = field(repr=False)
+    __slots__ = ("name", "spec", "order", "gens")
+
+    def __init__(self, name: str, spec: GroupSpec, order: int | None, gens: GeneratorSet):
+        self.name, self.spec, self.order, self.gens = name, spec, order, gens
 
 
 def standard_corpus() -> list[CorpusEntry]:

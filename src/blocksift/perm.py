@@ -13,7 +13,6 @@ for the process: about 36 bytes × (up to 2 × the largest degree seen).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress, islice, repeat
 from operator import itemgetter
 from typing import Iterable, Sequence
@@ -161,26 +160,27 @@ def product_images(first: tuple[int, ...], then: tuple[int, ...]) -> tuple[int, 
     return itemgetter(*first)(then)
 
 
-@dataclass
 class GeneratorSet:
     """A nonempty ordered list of generators of a common degree."""
 
-    degree: int
-    generators: list[Permutation]
+    __slots__ = ("degree", "generators")
 
-    def __post_init__(self):
+    def __init__(self, degree: int, generators: list[Permutation]):
         # a bool is an int, so True would pass as degree 1
-        if isinstance(self.degree, bool) or not isinstance(self.degree, int):
-            raise ValueError(f"degree must be an int, not {type(self.degree).__name__}")
-        if self.degree < 1:
+        if isinstance(degree, bool) or not isinstance(degree, int):
+            raise ValueError(f"degree must be an int, not {type(degree).__name__}")
+        if degree < 1:
             raise ValueError("degree must be at least 1")
-        if not self.generators:
+        if not generators:
             raise ValueError("generator list must be nonempty")
-        for g in self.generators:
-            if g.degree != self.degree:
-                raise ValueError(
-                    f"generator degree {g.degree} != set degree {self.degree}"
-                )
+        for g in generators:
+            if g.degree != degree:
+                raise ValueError(f"generator degree {g.degree} != set degree {degree}")
+        self.degree, self.generators = degree, generators
+
+    def __eq__(self, other: object) -> bool:
+        return (isinstance(other, GeneratorSet) and self.degree == other.degree
+                and self.generators == other.generators)
 
     def __len__(self) -> int:
         return len(self.generators)
@@ -329,12 +329,12 @@ def is_transitive(gens: GeneratorSet) -> bool:
     answers either way. Otherwise held points are taken in discovery order,
     and from each, each generator's cycle is followed until it meets a held
     point: at most n |S| + n - 1 reads, each adding a point or ending a walk.
-    The walked generator maps its cycle into itself, so from the cycle's
-    points only the other generators are followed.
+    The walked generator maps its cycle into itself, so from the cycle only
+    the others are followed, and from 0 only those after it (those ahead fix 0).
     """
     n = gens.degree
     arrays = [g.images for g in gens.generators]
-    for arr in arrays:
+    for i, arr in enumerate(arrays):
         if p := arr[0]:
             break
     held = [0]
@@ -346,8 +346,9 @@ def is_transitive(gens: GeneratorSet) -> bool:
     seen = bytearray(n)
     for p in held:
         seen[p] = 1
-    cycle, others = len(held), [a for a in arrays if a is not arr]
-    for points, walked in (held[:cycle], others), (islice(held, cycle, None), arrays):
+    cycle, later = len(held), arrays[i + 1:]
+    from_cycle = islice(held, 1, cycle), arrays[:i] + later
+    for points, walked in ([0], later), from_cycle, (islice(held, cycle, None), arrays):
         for p in points:  # held grows while it is walked
             for arr in walked:
                 q = arr[p]

@@ -20,7 +20,6 @@ certificate fallback.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
 from itertools import repeat, zip_longest
 from typing import Literal
 
@@ -34,44 +33,48 @@ from .transversal import build_point_transversal, build_scoped_transversal
 from .words import Word
 
 VerdictKind = Literal[
-    "primitive",
-    "blocks",
-    "partial_base",
-    "all_primitive_actions_large",
-    "all_large_with_params",
+    "primitive", "blocks", "partial_base", "all_primitive_actions_large", "all_large_with_params"
 ]
 
 
-@dataclass
 class Diagnostics:
     """Counters making the driver's accounting observable."""
 
-    sifts: int = 0
-    h_updates: int = 0
-    # candidate closures run; H-orbits too large for a proper block, and
-    # candidates that passed n/p in an earlier round, are not closed or
-    # counted
-    candidates_closed: int = 0
-    # blockness tests run; candidates that close past n/p are not counted
-    candidates_tested: int = 0
-    # closures and blockness tests run during the point transversal build,
-    # counted apart from the scan's
-    early_tries: int = 0
-    early_tests: int = 0
-    sum_xi: int = 0
-    # [before, after] of sum over levels >= 2, one pair per H-update
-    h_update_growth: list[list[int]] = field(default_factory=list)
+    # candidates_closed counts the candidate closures run: H-orbits too large
+    # for a proper block, and candidates that passed n/p in an earlier round,
+    # are not closed or counted. candidates_tested counts the blockness tests
+    # run; candidates that close past n/p are not counted. early_tries and
+    # early_tests count the closures and blockness tests run during the point
+    # transversal build, apart from the scan's. h_update_growth holds
+    # [before, after] of sum over levels >= 2, one pair per H-update.
+    __slots__ = ("sifts", "h_updates", "candidates_closed", "candidates_tested",
+                 "early_tries", "early_tests", "sum_xi", "h_update_growth")
+
+    def __init__(self, sifts: int = 0, h_updates: int = 0, candidates_closed: int = 0,
+                 candidates_tested: int = 0, early_tries: int = 0, early_tests: int = 0,
+                 sum_xi: int = 0, h_update_growth: list[list[int]] | None = None):
+        self.sifts, self.h_updates = sifts, h_updates
+        self.candidates_closed, self.candidates_tested = candidates_closed, candidates_tested
+        self.early_tries, self.early_tests, self.sum_xi = early_tries, early_tests, sum_xi
+        self.h_update_growth = [] if h_update_growth is None else h_update_growth
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        """The counters by name, in ``__slots__`` order; the pairs are copies."""
+        out = {name: getattr(self, name) for name in Diagnostics.__slots__}
+        out["h_update_growth"] = [list(pair) for pair in self.h_update_growth]
+        return out
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Diagnostics) and self.as_dict() == other.as_dict()
 
 
-@dataclass
 class Verdict:
-    kind: VerdictKind
-    blocks: BlockSystem | None = None
-    certificate: Certificate | None = None
-    diagnostics: Diagnostics = field(default_factory=Diagnostics)
+    __slots__ = ("kind", "blocks", "certificate", "diagnostics")
+
+    def __init__(self, kind: VerdictKind, blocks: BlockSystem | None = None,
+                 certificate: Certificate | None = None, diagnostics: Diagnostics | None = None):
+        self.kind, self.blocks, self.certificate = kind, blocks, certificate
+        self.diagnostics = Diagnostics() if diagnostics is None else diagnostics
 
 
 def _largest_proper_divisor(n: int) -> int:

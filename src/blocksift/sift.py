@@ -13,7 +13,6 @@ tracked set it translates off itself, or opens a new base level.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Literal
 
 from .perm import Permutation
@@ -47,11 +46,13 @@ def check_cap(cap: int) -> None:
         raise ValueError("cap must be at least 1")
 
 
-@dataclass
 class Certificate:
     """Nonredundancy witnesses: g_i fixes beta_j (j < i) and moves beta_i."""
 
-    entries: list[tuple[int, Permutation]]
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: list[tuple[int, Permutation]]):
+        self.entries = entries
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -66,7 +67,6 @@ class Certificate:
         return True
 
 
-@dataclass
 class SiftOutcome:
     """Result of one sift.
 
@@ -77,9 +77,11 @@ class SiftOutcome:
     a level (see ``transversal._close_transversal``).
     """
 
-    kind: Literal["appended", "new_base_point", "sifted_to_identity"]
-    chain: list[tuple[Word, Word]]
-    terminal: Permutation
+    __slots__ = ("kind", "chain", "terminal")
+
+    def __init__(self, kind: Literal["appended", "new_base_point", "sifted_to_identity"],
+                 chain: list[tuple[Word, Word]], terminal: Permutation):
+        self.kind, self.chain, self.terminal = kind, chain, terminal
 
 
 class SiftState:

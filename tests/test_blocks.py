@@ -154,6 +154,14 @@ class TestValidateBlockSystem:
         # each cell comes out sorted, the cells in their given order
         assert BlockSystem(4, ([2, 0], (3, 1))) == bs
 
+    def test_equal_by_degree_and_cells(self):
+        bs = BlockSystem(4, [[0, 2], [1, 3]])
+        assert bs == BlockSystem(4, [[0, 2], [1, 3]])
+        assert bs != BlockSystem(4, [[1, 3], [0, 2]])
+        assert bs != BlockSystem(4, [[0, 1], [2, 3]])
+        assert BlockSystem(2, [[0], [1]]) != BlockSystem(3, [[0], [1], [2]])
+        assert bs != bs.blocks
+
     def test_unpreserved_system(self):
         bs = BlockSystem(4, [[0, 1], [2, 3]])
         assert not validate_block_system(C4, bs)

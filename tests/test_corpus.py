@@ -20,6 +20,16 @@ from conftest import brute_force_elements, reference_orbit
 
 
 class TestSpecParsing:
+    def test_specs_equal_by_value(self):
+        spec = parse_spec("wreath(subsets(5,2),3)")
+        assert spec == GroupSpec("wreath", inner=GroupSpec("subsets", m=5, k=2), d=3)
+        assert spec != parse_spec("wreath(subsets(5,3),3)")
+        assert spec != parse_spec("wreath(subsets(5,2),2)")
+        assert GroupSpec("cyclic", n=5) != GroupSpec("dihedral", n=5)
+        for field in ("n", "m", "k", "d"):
+            assert GroupSpec("cyclic", n=5) != GroupSpec("cyclic", **{"n": 5, field: 6}), field
+        assert spec != spec.describe()
+
     def test_roundtrip(self):
         for text in (
             "cyclic(6)",

@@ -5,11 +5,14 @@ program code uses nor ``__all__`` exports, no public method that program
 code does not use, an ``__all__`` whose every name resolves, no
 ``assert`` statement, the unchecked ``BlockSystem`` constructor used in
 ``blocks`` only, and an oracle that imports nothing
-it judges; and the names the benchmark's tracer patches still exist and
-get traced."""
+it judges; the names the benchmark's tracer patches still exist and
+get traced; and a fresh import loads no stdlib module it does not need."""
 
 import ast
 import importlib.util
+import json
+import subprocess
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -17,7 +20,7 @@ import pytest
 
 import blocksift
 from blocksift import blocks, ioformats, perm, primitivity, sift, transversal, words
-from blocksift.corpus import build, parse_spec
+from blocksift.corpus import build, mathieu24, parse_spec
 
 PACKAGE = Path(blocksift.__file__).resolve().parent
 MODULES = sorted(PACKAGE.glob("*.py"))
@@ -224,3 +227,25 @@ def test_tracer_patch_points_exist():
     assert primitivity.orbit is orbit and words.Word.apply is apply
     assert primitivity.is_transitive is perm.is_transitive
     assert blocks.is_transitive is perm.is_transitive
+
+
+def test_fresh_import_loads_no_heavy_stdlib_module():
+    # every CLI process pays for the modules the package imports: dataclasses
+    # pulls in inspect, and importlib.resources is needed only to read the
+    # m24 data file, which it then must still find
+    script = f"""
+import json, sys
+sys.path.insert(0, {str(PACKAGE.parent)!r})
+import blocksift, blocksift.cli
+loaded = [m for m in ("dataclasses", "inspect", "importlib.resources") if m in sys.modules]
+from blocksift import corpus
+gens = corpus.build(corpus.parse_spec("m24"))
+print(json.dumps([loaded, [list(g.images) for g in gens.generators]]))
+"""
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded, images = json.loads(proc.stdout)
+    assert loaded == []
+    assert images == [list(g.images) for g in mathieu24().generators]

@@ -282,6 +282,16 @@ class TestOrbitCells:
             orbit(self.R, -1, 6)
 
 
+class TestGeneratorSetEquality:
+    def test_equal_by_degree_and_generators(self):
+        gens = GeneratorSet(4, [perm(4, (0, 1, 2, 3)), perm(4, (1, 3))])
+        assert gens == GeneratorSet(4, [perm(4, (0, 1, 2, 3)), perm(4, (1, 3))])
+        assert gens != GeneratorSet(4, [perm(4, (1, 3)), perm(4, (0, 1, 2, 3))])
+        assert gens != GeneratorSet(4, [perm(4, (0, 1, 2, 3))])
+        assert GeneratorSet(2, [perm(2, (0, 1))]) != GeneratorSet(3, [perm(3, (0, 1))])
+        assert gens != gens.generators
+
+
 class TestTransitivity:
     def test_cycle_transitive(self):
         assert is_transitive(GeneratorSet(4, [perm(4, (0, 1, 2, 3))]))
@@ -429,6 +439,21 @@ class TestTransitivityWalk:
         gens, reads = counted([cycle, perm(n, (n - 2, n - 1))])
         assert is_transitive(gens)
         assert reads[0] == 2 * n - 1
+
+    @pytest.mark.parametrize("n", [16, 101, 1009])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_generators_ahead_are_not_read_again_from_0(self, n, k):
+        # the cycle and transposition above, behind k transpositions that fix
+        # 0 and n - 1: the search for the first mover reads their images of
+        # 0, so from 0 the fallback reads only the transposition, and each
+        # fixer costs one read per other point of the cycle, n - 1 in all.
+        # At n = 101 that is 301 reads for k = 1 and 501 for k = 3 (302 and
+        # 504 when their images of 0 are read again)
+        cycle = Permutation((*range(1, n - 1), 0, n - 1))
+        fixing = [perm(n, (2 * j + 1, 2 * j + 2)) for j in range(k)]
+        gens, reads = counted([*fixing, cycle, perm(n, (n - 2, n - 1))])
+        assert is_transitive(gens)
+        assert reads[0] == 2 * n - 1 + k * (n - 1)
 
     @pytest.mark.parametrize("n", [3, 4, 7, 16, 101])
     def test_a_first_cycle_short_of_n_falls_back_to_the_whole_walk(self, n):

@@ -256,6 +256,26 @@ class TestDiagnostics:
             "h_update_growth",
         }
 
+    def test_as_dict_keys_in_cli_order(self, capsys, monkeypatch):
+        keys = ["sifts", "h_updates", "candidates_closed", "candidates_tested",
+                "early_tries", "early_tests", "sum_xi", "h_update_growth"]
+        assert list(Diagnostics().as_dict()) == keys
+        assert list(ss_uncapped(D4).diagnostics.as_dict()) == keys
+        monkeypatch.setattr("sys.stdin", io.StringIO(emit_generators(D4)))
+        assert cli_main(["primitive", "--uncapped"]) == 0
+        assert list(json.loads(capsys.readouterr().out)["diagnostics"]) == keys
+
+    def test_as_dict_copies_the_growth_pairs(self):
+        d = Diagnostics(sifts=3, h_updates=1, h_update_growth=[[1, 2]])
+        out = d.as_dict()
+        out["h_update_growth"][0].append(9)
+        out["h_update_growth"].append([3, 4])
+        assert d.h_update_growth == [[1, 2]]
+        assert d == Diagnostics(sifts=3, h_updates=1, h_update_growth=[[1, 2]])
+        assert d != Diagnostics(sifts=3, h_updates=1, h_update_growth=[[1, 3]])
+        assert d != Diagnostics(sifts=3, h_update_growth=[[1, 2]])
+        assert Diagnostics() == Diagnostics() and Diagnostics() != Diagnostics().as_dict()
+
     def test_h_update_accounting(self, small_corpus):
         # every H-update strictly grew the deep part of the data structure,
         # and there can be at most sum |X_i| of them in total
